@@ -1,26 +1,22 @@
-// Microbenchmark: per-component transform throughput (rows/second) for
-// every pipeline component, on representative batches.  Complements Table 1
-// of the paper — all components are O(p), so throughput should be flat in
-// batch size.
+// Microbenchmark: full-pipeline throughput (rows/second) of both pipeline
+// entry points on representative chunks — the pure Transform path (one
+// cached compiled plan) and the online UpdateAndTransform path (one walk
+// with an update barrier per stateful component) — for the URL and Taxi
+// pipelines at 64 and 512 rows.
 //
 // Hand-rolled timing loop (Stopwatch + calibrated repetition counts)
-// instead of google-benchmark so the binary can emit the same JSON schema
-// as the committed BENCH_components.json baseline, which was captured from
-// the seed row-at-a-time pipeline before the columnar batch path landed:
+// instead of google-benchmark so the binary emits the same JSON schema as
+// the committed BENCH_components.json baseline:
 //
-//   bench_component_throughput [--min_seconds=0.5] [--label=columnar]
-//       [--json_out=path] [--obs=0] [--mode=interpreted|fused|both]
+//   bench_component_throughput [--min_seconds=0.5] [--label=single-path]
+//       [--json_out=path] [--obs=0]
 //
-// Compare against BENCH_components.json to read the speedup per component.
-// `--mode` selects the execution mode of the Full*PipelineTransform rows:
-// the interpreted component-at-a-time loop, the fused per-schema block
-// plan, or both (the default; the run then ends with an x-factor summary
-// of fused over interpreted per workload).  Component micro rows always
-// run interpreted — they time a single component, so there is no chain to
-// fuse.  `--obs=1` runs the identical suite with the whole observability
-// plane live (event journal, watchdog, HTTP obs server on an ephemeral
-// port) — diff the two labels to measure the plane's overhead on hot
-// transform loops.
+// The UpdateAndTransform rows fold the same chunk into the statistics on
+// every call; the statistics' key sets stop growing after the first call,
+// so every timed call does the same work.  `--obs=1` runs the identical
+// suite with the whole observability plane live (event journal, watchdog,
+// HTTP obs server on an ephemeral port) — diff the two labels to measure
+// the plane's overhead on hot transform loops.
 
 #include <cstdio>
 #include <fstream>
@@ -36,11 +32,6 @@
 #include "src/obs/event_journal.h"
 #include "src/obs/health.h"
 #include "src/obs/obs_server.h"
-#include "src/pipeline/feature_hasher.h"
-#include "src/pipeline/input_parser.h"
-#include "src/pipeline/missing_value_imputer.h"
-#include "src/pipeline/standard_scaler.h"
-#include "src/pipeline/taxi_feature_extractor.h"
 
 namespace cdpipe {
 namespace bench {
@@ -48,7 +39,6 @@ namespace {
 
 struct BenchResult {
   std::string name;
-  std::string mode = "interpreted";
   size_t batch_rows = 0;
   double rows_per_second = 0.0;
 };
@@ -58,8 +48,7 @@ struct BenchResult {
 /// rows/second.
 BenchResult TimeRowsPerSecond(const std::string& name, size_t batch_rows,
                               double min_seconds,
-                              const std::function<void()>& body,
-                              const std::string& mode = "interpreted") {
+                              const std::function<void()>& body) {
   body();  // warm-up (touches lazy caches, faults pages)
   size_t iterations = 0;
   Stopwatch watch;
@@ -70,129 +59,31 @@ BenchResult TimeRowsPerSecond(const std::string& name, size_t batch_rows,
   const double seconds = watch.ElapsedSeconds();
   BenchResult result;
   result.name = name;
-  result.mode = mode;
   result.batch_rows = batch_rows;
   result.rows_per_second =
       static_cast<double>(iterations * batch_rows) / seconds;
-  std::printf("%-28s %-11s rows=%-5zu  %12.0f rows/s  (%zu iters)\n",
-              name.c_str(), mode.c_str(), batch_rows, result.rows_per_second,
-              iterations);
+  std::printf("%-38s rows=%-5zu  %12.0f rows/s  (%zu iters)\n",
+              name.c_str(), batch_rows, result.rows_per_second, iterations);
   return result;
 }
 
-RawChunk MakeUrlChunk(size_t rows) {
-  UrlStreamGenerator::Config config;
-  config.feature_dim = 1u << 16;
-  config.initial_active_features = 3000;
-  config.records_per_chunk = rows;
-  UrlStreamGenerator generator(config);
-  return generator.NextChunk();
+/// Times both entry points of `pipeline` on `chunk`: the pure Transform
+/// after one statistics update, then UpdateAndTransform.
+void TimeEntryPoints(const std::string& workload, Pipeline* pipeline,
+                     const RawChunk& chunk, double min_seconds,
+                     std::vector<BenchResult>* results) {
+  const size_t rows = chunk.num_rows();
+  (void)pipeline->UpdateAndTransform(chunk);
+  results->push_back(TimeRowsPerSecond(
+      workload + "Transform", rows, min_seconds,
+      [&] { (void)pipeline->Transform(chunk); }));
+  results->push_back(TimeRowsPerSecond(
+      workload + "UpdateAndTransform", rows, min_seconds,
+      [&] { (void)pipeline->UpdateAndTransform(chunk); }));
 }
 
-RawChunk MakeTaxiChunk(size_t rows) {
-  TaxiStreamGenerator::Config config;
-  config.records_per_chunk = rows;
-  TaxiStreamGenerator generator(config);
-  return generator.NextChunk();
-}
-
-InputParser MakeLibSvmParser() {
-  InputParser::Options options;
-  options.feature_dim = 1u << 16;
-  return InputParser(options);
-}
-
-InputParser MakeCsvParser() {
-  InputParser::Options options;
-  options.format = InputParser::Format::kCsv;
-  options.csv_schema = TaxiRawSchema();
-  return InputParser(options);
-}
-
-DataBatch ParsedUrl(const RawChunk& chunk) {
-  return std::move(MakeLibSvmParser().Transform(Pipeline::WrapRaw(chunk)))
-      .ValueOrDie();
-}
-
-DataBatch ParsedTaxi(const RawChunk& chunk) {
-  return std::move(MakeCsvParser().Transform(Pipeline::WrapRaw(chunk)))
-      .ValueOrDie();
-}
-
-void RunSuite(double min_seconds, bool run_interpreted, bool run_fused,
-              std::vector<BenchResult>* results) {
-  const std::vector<size_t> batch_sizes = {64, 512};
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeUrlChunk(rows);
-    const InputParser parser = MakeLibSvmParser();
-    const DataBatch batch = Pipeline::WrapRaw(chunk);
-    results->push_back(TimeRowsPerSecond(
-        "InputParserLibSvm", rows, min_seconds,
-        [&] { (void)parser.Transform(batch); }));
-  }
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeTaxiChunk(rows);
-    const InputParser parser = MakeCsvParser();
-    const DataBatch batch = Pipeline::WrapRaw(chunk);
-    results->push_back(TimeRowsPerSecond(
-        "InputParserCsv", rows, min_seconds,
-        [&] { (void)parser.Transform(batch); }));
-  }
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeUrlChunk(rows);
-    const DataBatch batch = ParsedUrl(chunk);
-    MissingValueImputer imputer;
-    (void)imputer.Update(batch);
-    results->push_back(TimeRowsPerSecond(
-        "MissingValueImputer", rows, min_seconds,
-        [&] { (void)imputer.Transform(batch); }));
-  }
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeUrlChunk(rows);
-    const DataBatch batch = ParsedUrl(chunk);
-    StandardScaler scaler;
-    (void)scaler.Update(batch);
-    results->push_back(TimeRowsPerSecond(
-        "StandardScalerSparse", rows, min_seconds,
-        [&] { (void)scaler.Transform(batch); }));
-  }
-
-  {
-    const size_t rows = 512;
-    const RawChunk chunk = MakeUrlChunk(rows);
-    const DataBatch batch = ParsedUrl(chunk);
-    results->push_back(
-        TimeRowsPerSecond("StandardScalerUpdate", rows, min_seconds, [&] {
-          StandardScaler scaler;
-          (void)scaler.Update(batch);
-        }));
-  }
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeUrlChunk(rows);
-    const DataBatch batch = ParsedUrl(chunk);
-    FeatureHasher::Options options;
-    options.bits = 12;
-    const FeatureHasher hasher(options);
-    results->push_back(TimeRowsPerSecond(
-        "FeatureHasher", rows, min_seconds,
-        [&] { (void)hasher.Transform(batch); }));
-  }
-
-  for (size_t rows : batch_sizes) {
-    const RawChunk chunk = MakeTaxiChunk(rows);
-    const DataBatch batch = ParsedTaxi(chunk);
-    const TaxiFeatureExtractor extractor;
-    results->push_back(TimeRowsPerSecond(
-        "TaxiFeatureExtractor", rows, min_seconds,
-        [&] { (void)extractor.Transform(batch); }));
-  }
-
-  for (size_t rows : batch_sizes) {
+void RunSuite(double min_seconds, std::vector<BenchResult>* results) {
+  for (size_t rows : {64, 512}) {
     UrlPipelineConfig config;
     config.raw_dim = 1u << 16;
     config.hash_bits = 12;
@@ -202,72 +93,28 @@ void RunSuite(double min_seconds, bool run_interpreted, bool run_fused,
     stream_config.initial_active_features = 3000;
     stream_config.records_per_chunk = rows;
     UrlStreamGenerator generator(stream_config);
-    const RawChunk chunk = generator.NextChunk();
-    (void)pipeline->UpdateAndTransform(chunk);
-    if (run_interpreted) {
-      results->push_back(TimeRowsPerSecond(
-          "FullUrlPipelineTransform", rows, min_seconds,
-          [&] {
-            (void)pipeline->Transform(chunk, nullptr, nullptr,
-                                      ExecMode::kInterpreted);
-          },
-          "interpreted"));
-    }
-    if (run_fused) {
-      results->push_back(TimeRowsPerSecond(
-          "FullUrlPipelineTransform", rows, min_seconds,
-          [&] {
-            (void)pipeline->Transform(chunk, nullptr, nullptr,
-                                      ExecMode::kFused);
-          },
-          "fused"));
-    }
+    TimeEntryPoints("FullUrlPipeline", pipeline.get(), generator.NextChunk(),
+                    min_seconds, results);
   }
 
-  for (size_t rows : batch_sizes) {
+  for (size_t rows : {64, 512}) {
     auto pipeline = MakeTaxiPipeline();
     TaxiStreamGenerator::Config stream_config;
     stream_config.records_per_chunk = rows;
     TaxiStreamGenerator generator(stream_config);
-    const RawChunk chunk = generator.NextChunk();
-    (void)pipeline->UpdateAndTransform(chunk);
-    if (run_interpreted) {
-      results->push_back(TimeRowsPerSecond(
-          "FullTaxiPipelineTransform", rows, min_seconds,
-          [&] {
-            (void)pipeline->Transform(chunk, nullptr, nullptr,
-                                      ExecMode::kInterpreted);
-          },
-          "interpreted"));
-    }
-    if (run_fused) {
-      results->push_back(TimeRowsPerSecond(
-          "FullTaxiPipelineTransform", rows, min_seconds,
-          [&] {
-            (void)pipeline->Transform(chunk, nullptr, nullptr,
-                                      ExecMode::kFused);
-          },
-          "fused"));
-    }
+    TimeEntryPoints("FullTaxiPipeline", pipeline.get(), generator.NextChunk(),
+                    min_seconds, results);
   }
 }
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const double min_seconds = flags.GetDouble("min_seconds", 0.5);
-  const std::string label = flags.GetString("label", "columnar");
+  const std::string label = flags.GetString("label", "single-path");
   const std::string json_out = flags.GetString("json_out", "");
   const bool obs_on = flags.GetDouble("obs", 0) != 0;
-  const std::string mode = flags.GetString("mode", "both");
-  if (mode != "interpreted" && mode != "fused" && mode != "both") {
-    std::fprintf(stderr, "unknown --mode=%s (interpreted|fused|both)\n",
-                 mode.c_str());
-    return 1;
-  }
-  const bool run_interpreted = mode != "fused";
-  const bool run_fused = mode != "interpreted";
 
-  // Normalize glibc to its multi-threaded code paths in BOTH modes before
+  // Normalize glibc to its multi-threaded code paths in both obs modes before
   // timing anything: the first thread a process ever creates permanently
   // clears `__libc_single_threaded`, turning every shared_ptr refcount in
   // the transform loops into a real atomic RMW (measured 5–25% on the
@@ -295,28 +142,10 @@ int Main(int argc, char** argv) {
     std::printf("obs plane live on http://127.0.0.1:%u\n", server->port());
   }
 
-  std::printf(
-      "component throughput (label=%s, min_seconds=%.2f, obs=%d, mode=%s)\n",
-      label.c_str(), min_seconds, obs_on ? 1 : 0, mode.c_str());
+  std::printf("component throughput (label=%s, min_seconds=%.2f, obs=%d)\n",
+              label.c_str(), min_seconds, obs_on ? 1 : 0);
   std::vector<BenchResult> results;
-  RunSuite(min_seconds, run_interpreted, run_fused, &results);
-
-  // X-factor summary: fused over interpreted for every row that ran in
-  // both modes.
-  if (run_interpreted && run_fused) {
-    std::printf("\nfused speedup over interpreted:\n");
-    for (const BenchResult& fused : results) {
-      if (fused.mode != "fused") continue;
-      for (const BenchResult& interp : results) {
-        if (interp.mode == "interpreted" && interp.name == fused.name &&
-            interp.batch_rows == fused.batch_rows) {
-          std::printf("  %s@%zu: %.2fx\n", fused.name.c_str(),
-                      fused.batch_rows,
-                      fused.rows_per_second / interp.rows_per_second);
-        }
-      }
-    }
-  }
+  RunSuite(min_seconds, &results);
 
   if (!json_out.empty()) {
     std::ofstream out(json_out, std::ios::trunc);
@@ -329,10 +158,10 @@ int Main(int argc, char** argv) {
     out << "  \"results\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
       out << StrFormat(
-          "    {\"name\": \"%s\", \"mode\": \"%s\", \"batch_rows\": %zu, "
+          "    {\"name\": \"%s\", \"batch_rows\": %zu, "
           "\"rows_per_second\": %.1f}%s\n",
-          results[i].name.c_str(), results[i].mode.c_str(),
-          results[i].batch_rows, results[i].rows_per_second,
+          results[i].name.c_str(), results[i].batch_rows,
+          results[i].rows_per_second,
           i + 1 < results.size() ? "," : "");
     }
     out << "  ]\n}\n";

@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/testing/fault_injector.h"
 #include "src/pipeline/anomaly_filter.h"
 #include "src/pipeline/input_parser.h"
@@ -137,8 +136,7 @@ std::unique_ptr<Pipeline> MakeTaxiPipeline() {
       pipeline->AddComponent(std::make_unique<TaxiFeatureExtractor>()).ok());
 
   // Trips longer than 22 hours, shorter than 10 seconds, or with zero
-  // distance are anomalies (§5.1).  Declarative rules (rather than a custom
-  // predicate) keep the filter eligible for pipeline fusion.
+  // distance are anomalies (§5.1).
   std::vector<AnomalyFilter::Rule> sanity_rules;
   sanity_rules.push_back(AnomalyFilter::Rule{"duration_s", 10.0, 22.0 * 3600.0,
                                              /*min_exclusive=*/false,

@@ -1,154 +1,6 @@
 #include "src/dataframe/chunk.h"
 
-#include <utility>
-
 namespace cdpipe {
-
-TableData::TableData(std::shared_ptr<const Schema> schema)
-    : schema_(std::move(schema)) {
-  columns_.reserve(schema_->num_fields());
-  for (const Field& field : schema_->fields()) {
-    columns_.emplace_back(field.type);
-  }
-}
-
-Result<TableData> TableData::Make(std::shared_ptr<const Schema> schema,
-                                  std::vector<Column> columns) {
-  if (schema == nullptr) {
-    return Status::InvalidArgument("table schema must not be null");
-  }
-  if (columns.size() != schema->num_fields()) {
-    return Status::InvalidArgument(
-        "column count " + std::to_string(columns.size()) +
-        " does not match schema field count " +
-        std::to_string(schema->num_fields()));
-  }
-  size_t rows = columns.empty() ? 0 : columns[0].size();
-  for (size_t c = 0; c < columns.size(); ++c) {
-    if (columns[c].type() != schema->field(c).type) {
-      return Status::InvalidArgument(
-          "column " + std::to_string(c) + " type " +
-          ValueTypeName(columns[c].type()) + " does not match field '" +
-          schema->field(c).name + "' type " +
-          ValueTypeName(schema->field(c).type));
-    }
-    if (columns[c].size() != rows) {
-      return Status::InvalidArgument(
-          "column " + std::to_string(c) + " has " +
-          std::to_string(columns[c].size()) + " rows, expected " +
-          std::to_string(rows));
-    }
-  }
-  TableData out;
-  out.schema_ = std::move(schema);
-  out.columns_ = std::move(columns);
-  out.num_rows_ = rows;
-  return out;
-}
-
-Result<TableData> TableData::FromRows(std::shared_ptr<const Schema> schema,
-                                      const std::vector<Row>& rows) {
-  if (schema == nullptr) {
-    return Status::InvalidArgument("table schema must not be null");
-  }
-  TableData out(std::move(schema));
-  out.ReserveRows(rows.size());
-  for (const Row& row : rows) {
-    CDPIPE_RETURN_NOT_OK(out.AppendRow(row));
-  }
-  return out;
-}
-
-Status TableData::AppendRow(const Row& row) {
-  if (row.size() != columns_.size()) {
-    return Status::InvalidArgument(
-        "row has " + std::to_string(row.size()) + " cells, schema has " +
-        std::to_string(columns_.size()) + " fields");
-  }
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const Status appended = columns_[c].AppendValue(row[c]);
-    if (!appended.ok()) {
-      // Roll the partially appended row back so the columns stay parallel.
-      std::vector<uint8_t> keep(columns_[c].size(), 1);
-      keep.back() = 0;
-      for (size_t u = 0; u < c; ++u) {
-        columns_[u] = columns_[u].Filter(keep);
-      }
-      return appended;
-    }
-  }
-  ++num_rows_;
-  return Status::OK();
-}
-
-void TableData::ReserveRows(size_t rows) {
-  for (Column& column : columns_) column.Reserve(rows);
-}
-
-bool TableData::CommitAppendedRow() {
-  for (const Column& column : columns_) {
-    if (column.size() != num_rows_ + 1) return false;
-  }
-  ++num_rows_;
-  return true;
-}
-
-Value TableData::ValueAt(size_t row, size_t col) const {
-  return columns_[col].ValueAt(row);
-}
-
-Row TableData::RowAt(size_t row) const {
-  Row out;
-  out.reserve(columns_.size());
-  for (const Column& column : columns_) {
-    out.push_back(column.ValueAt(row));
-  }
-  return out;
-}
-
-TableData TableData::Filter(const std::vector<uint8_t>& keep) const {
-  TableData out;
-  out.schema_ = schema_;
-  out.columns_.reserve(columns_.size());
-  size_t kept = 0;
-  for (size_t i = 0; i < keep.size(); ++i) kept += keep[i] != 0;
-  for (const Column& column : columns_) {
-    out.columns_.push_back(column.Filter(keep));
-  }
-  out.num_rows_ = kept;
-  return out;
-}
-
-Status TableData::PromoteColumnToDouble(size_t col) {
-  Column& column = columns_[col];
-  if (column.type() == ValueType::kDouble) return Status::OK();
-  if (column.type() != ValueType::kInt64 &&
-      column.type() != ValueType::kTimestamp) {
-    return Status::FailedPrecondition(
-        "cannot widen " + std::string(ValueTypeName(column.type())) +
-        " column '" + schema_->field(col).name + "' to double");
-  }
-  Column widened(ValueType::kDouble);
-  widened.Reserve(column.size());
-  for (size_t r = 0; r < column.size(); ++r) {
-    if (column.IsNull(r)) {
-      widened.AppendNull();
-    } else {
-      widened.AppendDouble(static_cast<double>(column.ints()[r]));
-    }
-  }
-  column = std::move(widened);
-  std::vector<Field> fields = schema_->fields();
-  fields[col].type = ValueType::kDouble;
-  schema_ = std::make_shared<const Schema>(std::move(fields));
-  return Status::OK();
-}
-
-size_t TableData::ByteSize() const {
-  size_t total = 0;
-  for (const Column& column : columns_) total += column.ByteSize();
-  return total;
-}
 
 size_t FeatureData::ByteSize() const {
   size_t total = labels.size() * sizeof(double);
@@ -169,20 +21,6 @@ Status FeatureData::Validate() const {
     }
   }
   return Status::OK();
-}
-
-size_t BatchNumRows(const DataBatch& batch) {
-  if (const auto* table = std::get_if<TableData>(&batch)) {
-    return table->num_rows();
-  }
-  return std::get<FeatureData>(batch).num_rows();
-}
-
-size_t BatchByteSize(const DataBatch& batch) {
-  if (const auto* table = std::get_if<TableData>(&batch)) {
-    return table->ByteSize();
-  }
-  return std::get<FeatureData>(batch).ByteSize();
 }
 
 size_t RawChunk::ByteSize() const {

@@ -4,13 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/dataframe/column.h"
 #include "src/dataframe/schema.h"
-#include "src/dataframe/value.h"
 #include "src/linalg/sparse_vector.h"
 
 namespace cdpipe {
@@ -19,79 +16,6 @@ namespace cdpipe {
 /// monotonically increasing timestamp which doubles as its unique id
 /// (paper §4.2).
 using ChunkId = int64_t;
-
-/// A single record materialized cell-by-cell.  The batch representation is
-/// columnar (see below); Row survives as the interop/test currency for
-/// assembling and inspecting individual records.
-using Row = std::vector<Value>;
-
-/// Columnar relational batch flowing between the early pipeline components
-/// (parser, feature extraction, filtering): one typed `Column` per schema
-/// field.  Kernels operate column-at-a-time on the contiguous typed
-/// storage; the row-oriented accessors (`AppendRow`, `RowAt`, `ValueAt`)
-/// exist for construction in tests and for interop, not for inner loops.
-///
-/// Invariant: columns_ is parallel to schema().fields() and every column
-/// holds exactly num_rows() cells.  `Make` validates this; the append API
-/// maintains it.
-class TableData {
- public:
-  TableData() = default;
-  /// An empty table with one empty column per schema field.
-  explicit TableData(std::shared_ptr<const Schema> schema);
-
-  /// Adopts fully built columns; fails unless they are parallel to the
-  /// schema and of equal length.
-  static Result<TableData> Make(std::shared_ptr<const Schema> schema,
-                                std::vector<Column> columns);
-
-  /// Builds a table row-at-a-time (tests / interop).
-  static Result<TableData> FromRows(std::shared_ptr<const Schema> schema,
-                                    const std::vector<Row>& rows);
-
-  const std::shared_ptr<const Schema>& schema() const { return schema_; }
-  size_t num_rows() const { return num_rows_; }
-  size_t num_columns() const { return columns_.size(); }
-
-  const Column& column(size_t i) const { return columns_[i]; }
-  Column& mutable_column(size_t i) { return columns_[i]; }
-
-  /// Appends one record; cells must match the schema types (nulls allowed).
-  Status AppendRow(const Row& row);
-  void ReserveRows(size_t rows);
-
-  /// Kernels that append one typed cell to every column directly (bypassing
-  /// AppendRow's Value boxing) call this to advance the row count.  Returns
-  /// false — leaving the table unchanged beyond the caller's appends — when
-  /// some column did not grow to num_rows() + 1.
-  bool CommitAppendedRow();
-
-  /// Cell (r, c) as a Value (interop / tests; not for inner loops).
-  Value ValueAt(size_t row, size_t col) const;
-  /// Record r materialized as a Row of Values.
-  Row RowAt(size_t row) const;
-
-  /// New table with the rows whose `keep[i]` is non-zero, in order.
-  TableData Filter(const std::vector<uint8_t>& keep) const;
-
-  /// Widens a kInt64/kTimestamp column to kDouble in place (static_cast per
-  /// cell, nulls preserved) and rebinds the schema field's type.  No-op on a
-  /// column that is already kDouble.  Numeric components (imputer, scaler)
-  /// use this so they can write fractional results into integer-typed input
-  /// columns, exactly as the row path widened cells through Value::AsDouble.
-  Status PromoteColumnToDouble(size_t col);
-
-  /// Approximate in-memory footprint used by the storage accounting:
-  /// the owned bytes of every column (typed vectors, string arenas,
-  /// offsets, null bitmaps).  Borrowed string columns count their view
-  /// tables only — the payload belongs to the raw chunk.
-  size_t ByteSize() const;
-
- private:
-  std::shared_ptr<const Schema> schema_;
-  std::vector<Column> columns_;
-  size_t num_rows_ = 0;
-};
 
 /// Vectorized batch: one (sparse) feature vector and one label per example.
 /// This is what the model consumes and what the chunk store materializes.
@@ -106,16 +30,6 @@ struct FeatureData {
   /// Internal-consistency check: features/labels aligned, dims match.
   Status Validate() const;
 };
-
-/// The value passed between pipeline components.  Early components operate
-/// on TableData; a vectorizing component (FeatureHasher, VectorAssembler)
-/// switches the batch to FeatureData for the model.
-using DataBatch = std::variant<TableData, FeatureData>;
-
-/// Number of examples in a batch regardless of representation.
-size_t BatchNumRows(const DataBatch& batch);
-/// Approximate in-memory footprint of a batch.
-size_t BatchByteSize(const DataBatch& batch);
 
 /// An immutable chunk of raw input records as received from the outside
 /// world (one line per record).  Raw chunks are always retained by the

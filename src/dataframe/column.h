@@ -21,11 +21,9 @@ namespace cdpipe {
 /// allocation, no variant dispatch in inner loops.
 ///
 /// String columns have a second, *borrowed* storage mode in which each cell
-/// is a `std::string_view` into memory owned by someone else (the raw
-/// chunk's records, for `Pipeline::WrapRaw`).  A borrowed column is only
-/// valid while its backing storage is alive; everything constructed from it
-/// by the pipeline copies the bytes it keeps, so borrowing never leaks past
-/// the transform call that created it.
+/// is a `std::string_view` into memory owned by someone else (e.g. a raw
+/// chunk's records, for the spill codec).  A borrowed column is only valid
+/// while its backing storage is alive.
 ///
 /// Null cells keep a placeholder in the typed storage (0 / 0.0 / empty
 /// string); the bitmap is authoritative.  Kernels must consult

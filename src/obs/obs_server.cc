@@ -7,7 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -38,18 +38,21 @@ std::string HttpResponse(int status, const char* reason,
   return out;
 }
 
-/// Parses "n=K" out of a raw query string; returns fallback when absent or
-/// malformed.
+/// Parses "n=K" out of a raw query string.  K must be a positive decimal
+/// integer that fits a size_t, with nothing after it; anything else (empty,
+/// signed, zero, overflowing, trailing bytes such as "5x") yields fallback.
 size_t ParseEventCount(const std::string& query, size_t fallback) {
   size_t pos = 0;
   while (pos < query.size()) {
     size_t end = query.find('&', pos);
     if (end == std::string::npos) end = query.size();
-    const std::string param = query.substr(pos, end - pos);
-    if (param.rfind("n=", 0) == 0) {
-      const long parsed = std::atol(param.c_str() + 2);
-      if (parsed > 0) return static_cast<size_t>(parsed);
-      return fallback;
+    if (query.compare(pos, 2, "n=") == 0) {
+      const char* first = query.data() + pos + 2;
+      const char* last = query.data() + end;
+      size_t parsed = 0;
+      const auto [ptr, ec] = std::from_chars(first, last, parsed);
+      if (ec != std::errc() || ptr != last || parsed == 0) return fallback;
+      return parsed;
     }
     pos = end + 1;
   }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,21 +12,14 @@
 
 namespace cdpipe {
 
-/// Drops anomalous rows from a table batch — the Taxi pipeline's anomaly
+/// Drops anomalous rows from a table block — the Taxi pipeline's anomaly
 /// detector (trips longer than 22 hours, shorter than 10 seconds, or with
 /// zero distance).  Stateless data transformation (a filter, Table 1 of the
 /// paper).
 ///
-/// Two construction forms:
-///  - **Declarative range rules** (preferred): a conjunction of per-column
-///    range conditions; null cells are dropped as anomalous.  Rule filters
-///    participate in pipeline fusion (the ranges compile into a block
-///    kernel that flips the keep mask without materializing a filtered
-///    table).
-///  - **Custom predicate**: arbitrary batch-level logic for conditions the
-///    rule language cannot express.  Predicate filters run interpreted
-///    only — the planner cannot see inside a std::function, so a pipeline
-///    containing one falls back to the interpreted loop.
+/// The filter is a conjunction of declarative per-column range rules; null
+/// cells are dropped as anomalous.  The rules compile into a block kernel
+/// that clears keep bits instead of materializing a filtered table.
 class AnomalyFilter : public PipelineComponent {
  public:
   /// One range condition on a numeric column: a row survives when
@@ -41,15 +33,7 @@ class AnomalyFilter : public PipelineComponent {
     bool max_exclusive = false;
   };
 
-  /// Batch-level predicate: `*keep` arrives sized to the batch's row count
-  /// and filled with 1; the predicate zeroes the rows to DROP.  Resolving
-  /// columns once per batch (instead of once per row) is what lets filter
-  /// rules run as column kernels.  Errors propagate and abort the batch.
-  using Predicate =
-      std::function<Status(const TableData& table, std::vector<uint8_t>* keep)>;
-
-  AnomalyFilter(std::string rule_name, Predicate keep);
-  /// Declarative form: keeps rows satisfying every rule.
+  /// Keeps rows satisfying every rule.
   AnomalyFilter(std::string rule_name, std::vector<Rule> rules);
 
   /// Keeps rows whose numeric `column` lies within [min, max] (inclusive);
@@ -62,23 +46,19 @@ class AnomalyFilter : public PipelineComponent {
     return ComponentKind::kDataTransformation;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 
   /// Total rows dropped since construction.
   size_t num_dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  /// Adds to the dropped-row counter.  Fused kernels report their drops
-  /// here so the counter stays in step with the interpreted path.
+  /// Adds to the dropped-row counter (the filter stage reports its drops
+  /// here).
   void RecordDropped(size_t n) const {
     dropped_.fetch_add(n, std::memory_order_relaxed);
   }
 
  private:
   std::string rule_name_;
-  Predicate keep_;
-  /// Non-empty iff constructed from rules (the fusable form).
   std::vector<Rule> rules_;
   mutable std::atomic<size_t> dropped_{0};
 };

@@ -10,7 +10,7 @@
 namespace cdpipe {
 
 /// Feature selection (Table 1): keeps only the configured columns of a
-/// table batch, in the configured order.  Stateless.
+/// table block, in the configured order.  Stateless.
 class ColumnProjector : public PipelineComponent {
  public:
   explicit ColumnProjector(std::vector<std::string> columns);
@@ -20,8 +20,6 @@ class ColumnProjector : public PipelineComponent {
     return ComponentKind::kFeatureSelection;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 

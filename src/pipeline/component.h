@@ -13,6 +13,7 @@ namespace cdpipe {
 
 namespace fusion {
 class PlanBuilder;
+struct UpdateBlock;
 }  // namespace fusion
 
 /// Component classes from Table 1 of the paper.  The class determines the
@@ -29,16 +30,20 @@ const char* ComponentKindName(ComponentKind kind);
 
 /// A stage of a deployed machine learning pipeline.
 ///
-/// Per §4.3 of the paper, every component implements two methods:
+/// Per §4.3 of the paper, every component implements two methods, both
+/// over the block representation of src/pipeline/fusion:
 ///
-///  - `Update`: incrementally folds a batch into the component's internal
+///  - `Update`: incrementally folds a block into the component's internal
 ///    statistics (the *online statistics computation* optimization).  Called
-///    exactly once per arriving training chunk, on the online path, before
-///    `Transform`.  Never called during re-materialization or inference.
-///  - `Transform`: applies the component using the current statistics.  Must
-///    not mutate statistics, so the same features are produced for training
-///    data and prediction queries (train/serve consistency) and evicted
-///    feature chunks can be re-materialized at any later time.
+///    exactly once per arriving training chunk, on the online path, at the
+///    component's update barrier — after every upstream stage has run and
+///    before the component's own stages.  Never called during
+///    re-materialization or inference.
+///  - `Fuse`: contributes the block kernel(s) that apply the component
+///    using the current statistics.  Kernels must not mutate statistics, so
+///    the same features are produced for training data and prediction
+///    queries (train/serve consistency) and evicted feature chunks can be
+///    re-materialized at any later time.
 ///
 /// Components whose statistics cannot be maintained incrementally (exact
 /// percentiles, PCA, ...) are outside the platform's contract (§3.1); the
@@ -59,39 +64,21 @@ class PipelineComponent {
   /// components that return false here.
   virtual bool supports_online_statistics() const { return true; }
 
-  /// Incrementally updates internal statistics from `batch`.
-  virtual Status Update(const DataBatch& batch) {
-    (void)batch;
+  /// Incrementally updates internal statistics from the live rows of
+  /// `block`, in ascending row order.
+  virtual Status Update(const fusion::UpdateBlock& block) {
+    (void)block;
     return Status::OK();
   }
 
-  /// Transforms `batch` using current statistics.  Must be const: the
-  /// platform calls this concurrently during proactive training.
-  virtual Result<DataBatch> Transform(const DataBatch& batch) const = 0;
-
-  /// Transform for a batch the caller no longer needs.  In-place components
-  /// (imputer, scaler) override this to mutate the batch instead of copying
-  /// it; the default delegates to `Transform`.  The pipeline drives every
-  /// stage through this entry point — intermediate batches are always owned
-  /// by the pipeline loop.  Overrides must produce output bit-identical to
-  /// `Transform` on the same input.
-  virtual Result<DataBatch> TransformOwned(DataBatch&& batch) const {
-    return Transform(batch);
-  }
-
-  /// Contributes this component's block kernel(s) to a fused plan under
-  /// construction (see src/pipeline/fusion/fusion.h).  Implementations
-  /// resolve columns, snapshot dispatch decisions, and append stages whose
-  /// output is bit-identical to `Transform` on the same rows.  Returning a
-  /// non-OK status — the default — declines fusion for the whole pipeline;
-  /// the caller then uses the interpreted loop, so declining is never an
-  /// execution error.  Configurations a kernel cannot express exactly
-  /// (wrong column types, unsupported options) must decline rather than
-  /// approximate: the interpreted path owns the error reporting.
-  virtual Status Fuse(fusion::PlanBuilder* plan) const {
-    (void)plan;
-    return Status::Unimplemented("component does not define a block kernel");
-  }
+  /// Contributes this component's block kernel(s) to the plan under
+  /// construction (see src/pipeline/fusion/fusion.h): resolves columns,
+  /// snapshots dispatch decisions and statistics, and appends stages.  A
+  /// configuration the kernels cannot express (wrong representation,
+  /// missing or non-numeric column) returns an error, which the pipeline's
+  /// Transform / UpdateAndTransform report as is.  Must be const: the
+  /// platform compiles plans concurrently with serving.
+  virtual Status Fuse(fusion::PlanBuilder* plan) const = 0;
 
   /// Discards all statistics, returning the component to its initial state.
   virtual void Reset() {}

@@ -25,14 +25,15 @@ uint64_t MixHash(uint64_t key, uint64_t seed) {
   return h;
 }
 
-/// Fused kernel: rewrites the vector block in place (entries + row offsets
-/// swap through scratch buffers).  Mirrors the interpreted Transform's
-/// arithmetic — same memo and dense-accumulator gates, same sort-and-sum
-/// collapse semantics — so outputs are bit-identical.  The dense path here
-/// goes further than the interpreted one: rows with two-way bucket
-/// collisions stay dense (a two-way IEEE sum is commutative, hence
-/// order-insensitive), and only three-way collisions or NaN values fall
-/// back to the sorted collapse.  The bucket/sign memo lives in the
+/// Hashing kernel: rewrites the vector block in place (entries + row
+/// offsets swap through scratch buffers).  Each row's output is the sorted
+/// collapse of its (bucket, sign * value) pairs: hash in input order, sort
+/// by bucket, sum duplicates left to right.  Collision-free rows and rows
+/// with two-way bucket collisions skip the sort — a dense accumulator plus
+/// a two-level occupancy bitmap emits buckets in ascending order directly
+/// (a two-way IEEE sum is commutative, hence order-insensitive) — and only
+/// three-way collisions or NaN values fall back to the sorted collapse, so
+/// both routes give bit-identical rows.  The bucket/sign memo lives in the
 /// per-thread scratch and persists across blocks, chunks, and plan
 /// recompiles (it depends only on the hasher's immutable config).
 class HashVecStage final : public fusion::FusedStage {
@@ -169,9 +170,9 @@ class HashVecStage final : public fusion::FusedStage {
         }
       }
       if (sorted_path) {
-        // Same collapse as the interpreted fallback: hash in input order,
-        // sort the raw-order (bucket, signed value) list, sum duplicates
-        // left to right.  Memo hits make the re-hash of a bailed row cheap.
+        // The sorted collapse: hash in input order, sort the raw-order
+        // (bucket, signed value) list, sum duplicates left to right.  Memo
+        // hits make the re-hash of a bailed row cheap.
         row.clear();
         for (uint32_t k = start; k < stop; ++k) {
           const auto [bucket, sign] = hash_of(vec.entries[k].first);
@@ -212,128 +213,8 @@ double FeatureHasher::SignOf(uint32_t index) const {
              : -1.0;
 }
 
-Result<DataBatch> FeatureHasher::Transform(const DataBatch& batch) const {
-  const auto* features = std::get_if<FeatureData>(&batch);
-  if (features == nullptr) {
-    return Status::FailedPrecondition(
-        "feature_hasher expects a vectorized batch; place it after the "
-        "parser / encoder");
-  }
-  FeatureData out;
-  out.dim = output_dim();
-  out.features.reserve(features->features.size());
-  out.labels = features->labels;
-
-  size_t total_nnz = 0;
-  for (const SparseVector& x : features->features) total_nnz += x.nnz();
-
-  // Per-batch memo of (bucket, signed unit) per input index: raw indices
-  // repeat heavily across the rows of a batch, and the two hash mixes per
-  // occurrence are the bulk of the per-entry cost.  Dense arrays gated on
-  // the input dim so the memset amortizes over the batch.
-  const uint32_t in_dim = features->dim;
-  const bool use_memo = in_dim <= (1u << 20) && total_nnz >= in_dim / 16;
-  std::vector<uint8_t> memo_set;
-  std::vector<uint32_t> memo_bucket;
-  std::vector<double> memo_sign;
-  if (use_memo) {
-    memo_set.assign(in_dim, 0);
-    memo_bucket.resize(in_dim);
-    memo_sign.resize(in_dim);
-  }
-
-  // Collision-free rows (the common case) skip the per-row sort: a dense
-  // accumulator plus a two-level occupancy bitmap emits buckets in
-  // ascending order directly.  Rows where two indices land in the same
-  // bucket fall back to the sort-and-sum construction, so duplicate values
-  // accumulate in exactly the order the row path leaves them — outputs
-  // stay bit-identical either way.  `acc` is intentionally uninitialized:
-  // the bitmap gates every read.
-  const uint32_t out_dim = out.dim;
-  const bool use_dense =
-      out_dim <= (1u << 22) && total_nnz * 64 >= static_cast<size_t>(out_dim);
-  std::unique_ptr<double[]> acc;
-  std::vector<uint64_t> occupied;
-  std::vector<uint64_t> summary;
-  if (use_dense) {
-    acc.reset(new double[out_dim]);
-    occupied.assign((out_dim + 63) / 64, 0);
-    summary.assign((occupied.size() + 63) / 64, 0);
-  }
-
-  std::vector<std::pair<uint32_t, double>> entries;
-  std::vector<std::pair<uint32_t, double>> sorted_entries;
-  for (const SparseVector& x : features->features) {
-    entries.clear();
-    const auto& idx = x.indices();
-    const auto& val = x.values();
-    bool collision = false;
-    for (size_t k = 0; k < idx.size(); ++k) {
-      const uint32_t index = idx[k];
-      uint32_t bucket;
-      double sign;
-      if (use_memo) {
-        if (!memo_set[index]) {
-          memo_set[index] = 1;
-          memo_bucket[index] = BucketOf(index);
-          memo_sign[index] = SignOf(index);
-        }
-        bucket = memo_bucket[index];
-        sign = memo_sign[index];
-      } else {
-        bucket = BucketOf(index);
-        sign = SignOf(index);
-      }
-      const double value = sign * val[k];
-      entries.emplace_back(bucket, value);
-      if (use_dense && !collision) {
-        const size_t word = bucket >> 6;
-        const uint64_t bit = uint64_t{1} << (bucket & 63);
-        if (occupied[word] & bit) {
-          collision = true;
-        } else {
-          occupied[word] |= bit;
-          summary[word >> 6] |= uint64_t{1} << (word & 63);
-          acc[bucket] = value;
-        }
-      }
-    }
-    if (use_dense && !collision) {
-      sorted_entries.clear();
-      for (size_t sw = 0; sw < summary.size(); ++sw) {
-        uint64_t sword = summary[sw];
-        while (sword != 0) {
-          const size_t word = sw * 64 + __builtin_ctzll(sword);
-          sword &= sword - 1;
-          uint64_t bits = occupied[word];
-          while (bits != 0) {
-            const uint32_t bucket =
-                static_cast<uint32_t>(word * 64 + __builtin_ctzll(bits));
-            bits &= bits - 1;
-            sorted_entries.emplace_back(bucket, acc[bucket]);
-          }
-        }
-      }
-      out.features.push_back(
-          SparseVector::FromUnsortedInto(out_dim, &sorted_entries));
-    } else {
-      out.features.push_back(
-          SparseVector::FromUnsortedInto(out_dim, &entries));
-    }
-    if (use_dense) {
-      for (const auto& entry : entries) {
-        occupied[entry.first >> 6] = 0;
-        summary[entry.first >> 12] = 0;
-      }
-    }
-  }
-  return DataBatch(std::move(out));
-}
-
 Status FeatureHasher::Fuse(fusion::PlanBuilder* plan) const {
   if (plan->repr() != fusion::PlanBuilder::Repr::kVec) {
-    // Same precondition as Transform; the interpreted path owns reporting
-    // the misplacement error.
     return Status::FailedPrecondition(
         "feature_hasher expects a vectorized batch; place it after the "
         "parser / encoder");

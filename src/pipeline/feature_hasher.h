@@ -33,7 +33,6 @@ class FeatureHasher : public PipelineComponent {
     return ComponentKind::kFeatureExtraction;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 

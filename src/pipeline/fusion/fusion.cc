@@ -36,8 +36,8 @@ void CountStagesElided(size_t n) {
 namespace {
 
 /// Accounting stand-in for a component whose work was elided at compile
-/// time: replicates the interpreted loop's rows-scanned contribution and
-/// counts one elision per block, but touches no data.
+/// time: counts the component's scan and one elision per block, but
+/// touches no data.
 class ElidedStage final : public FusedStage {
  public:
   ElidedStage(const char* label, PlanBuilder::Repr repr)
@@ -164,30 +164,54 @@ void PlanBuilder::AddElidedStage(const char* label) {
   ++compile_elided_;
 }
 
+Status PlanBuilder::AddSink() {
+  if (repr_ != Repr::kVec) {
+    return Status::FailedPrecondition(
+        "pipeline did not end in a vectorizing component; append a "
+        "FeatureHasher, OneHotEncoder, or VectorAssembler");
+  }
+  stages_.push_back(std::make_unique<EmitVecStage>());
+  return Status::OK();
+}
+
+Status PlanBuilder::RunPendingStages(ExecContext& ctx) {
+  for (; executed_ < stages_.size(); ++executed_) {
+    CDPIPE_RETURN_NOT_OK(stages_[executed_]->Run(ctx));
+  }
+  return Status::OK();
+}
+
+uint64_t NextPlanSerial() {
+  static std::atomic<uint64_t> next_serial{1};
+  return next_serial.fetch_add(1, std::memory_order_relaxed);
+}
+
+Status FinishBlock(const ExecContext& ctx, size_t* rows_scanned) {
+  CDPIPE_RETURN_NOT_OK(ctx.out->Validate());
+  if (rows_scanned != nullptr) *rows_scanned += ctx.rows_scanned;
+  if (ctx.stages_elided > 0) CountStagesElided(ctx.stages_elided);
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // FusedPlan
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const FusedPlan> FusedPlan::Compile(
+Result<std::shared_ptr<const FusedPlan>> FusedPlan::Compile(
     const std::vector<std::unique_ptr<PipelineComponent>>& components,
     const Schema& entry_schema) {
   PlanBuilder builder(entry_schema);
   for (const auto& component : components) {
-    if (!component->Fuse(&builder).ok()) return nullptr;
+    CDPIPE_RETURN_NOT_OK(component->Fuse(&builder));
   }
-  // The pipeline contract: the chain must end vectorized.  A chain that
-  // does not is an interpreted-path error (FinishBatch reports it with the
-  // full pipeline context), so decline rather than duplicate the message.
-  if (builder.repr() != PlanBuilder::Repr::kVec) return nullptr;
-  builder.AddStage(std::make_unique<EmitVecStage>());
-  static std::atomic<uint64_t> next_serial{1};
+  CDPIPE_RETURN_NOT_OK(builder.AddSink());
   auto plan = std::shared_ptr<FusedPlan>(new FusedPlan());
-  plan->serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
+  plan->serial_ = NextPlanSerial();
   plan->stages_ = std::move(builder.stages_);
   plan->stats_.fingerprint = SchemaFingerprint(entry_schema);
   plan->stats_.stages = plan->stages_.size();
   plan->stats_.compile_elided = builder.compile_elided_;
-  return plan;
+  return std::shared_ptr<const FusedPlan>(std::move(plan));
 }
 
 Status FusedPlan::Execute(const std::vector<std::string>& records,
@@ -203,10 +227,7 @@ Status FusedPlan::Execute(const std::vector<std::string>& records,
   for (const auto& stage : stages_) {
     CDPIPE_RETURN_NOT_OK(stage->Run(ctx));
   }
-  CDPIPE_RETURN_NOT_OK(out->Validate());
-  if (rows_scanned != nullptr) *rows_scanned += ctx.rows_scanned;
-  if (ctx.stages_elided > 0) CountStagesElided(ctx.stages_elided);
-  return Status::OK();
+  return FinishBlock(ctx, rows_scanned);
 }
 
 std::string FusedPlan::ToString() const {
@@ -247,7 +268,7 @@ void ScratchPool::Release(std::unique_ptr<ExecScratch> scratch) {
 // PlanCache
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const FusedPlan> PlanCache::GetOrCompile(
+Result<std::shared_ptr<const FusedPlan>> PlanCache::GetOrCompile(
     const std::vector<std::unique_ptr<PipelineComponent>>& components,
     const Schema& entry_schema, uint64_t version) {
   static obs::Counter* hit_counter = obs::MetricsRegistry::Global().GetCounter(
@@ -276,32 +297,19 @@ std::shared_ptr<const FusedPlan> PlanCache::GetOrCompile(
   // benign — last writer wins with an identical plan.
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_counter->Increment();
-  std::shared_ptr<const FusedPlan> plan =
-      FusedPlan::Compile(components, entry_schema);
-  if (plan != nullptr) {
-    compiles_.fetch_add(1, std::memory_order_relaxed);
-    plan_counter->Increment();
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kPlanCompile,
-        StrFormat("fp=%016llx stages=%zu elided=%zu",
-                  static_cast<unsigned long long>(plan->stats().fingerprint),
-                  plan->stats().stages, plan->stats().compile_elided)
-            .c_str());
-  } else {
-    obs::EventJournal::Global().Append(
-        obs::EventKind::kPlanCompile,
-        StrFormat("fp=%016llx unfusable",
-                  static_cast<unsigned long long>(fingerprint))
-            .c_str());
-  }
+  CDPIPE_ASSIGN_OR_RETURN(std::shared_ptr<const FusedPlan> plan,
+                          FusedPlan::Compile(components, entry_schema));
+  compiles_.fetch_add(1, std::memory_order_relaxed);
+  plan_counter->Increment();
+  obs::EventJournal::Global().Append(
+      obs::EventKind::kPlanCompile,
+      StrFormat("fp=%016llx stages=%zu elided=%zu",
+                static_cast<unsigned long long>(plan->stats().fingerprint),
+                plan->stats().stages, plan->stats().compile_elided)
+          .c_str());
   std::lock_guard<std::mutex> lock(mu_);
   entries_[fingerprint] = Entry{plan, version};
   return plan;
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 }  // namespace fusion

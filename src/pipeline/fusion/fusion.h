@@ -18,29 +18,35 @@ namespace cdpipe {
 
 class PipelineComponent;
 
-/// Pipeline "compiler" (runtime specialization of the transform chain).
+/// Pipeline "compiler" (runtime specialization of the transform chain) —
+/// the one execution path of every pipeline.
 ///
-/// Given a deployed pipeline and the schema of the chunks it will see, the
-/// planner asks every component to contribute a *block kernel* to a
-/// FusedPlan: a short, pre-resolved program that takes a range of raw
-/// records straight to FeatureData without materializing a TableData /
-/// FeatureData between components.  Column dispatch (schema lookups, column
-/// type resolution, statistics snapshots, dictionary pointers) happens once
-/// at compile time instead of once per chunk per component; per-block state
-/// lives in reusable per-thread scratch buffers.
+/// Every component contributes *block kernels* through its Fuse(): short,
+/// pre-resolved stages that take a range of raw records straight to
+/// FeatureData without materializing a table or feature batch between
+/// components.  Column dispatch (schema lookups, column type resolution,
+/// statistics snapshots, dictionary pointers) happens once when the stages
+/// are built instead of once per row; per-block state lives in reusable
+/// per-thread scratch buffers.
 ///
-/// Fused output is bit-identical to the interpreted path by construction:
-/// every kernel either calls the exact same per-row helper the interpreted
-/// kernel calls (parsers, taxi feature arithmetic) or replicates the
-/// interpreted expression structure operation for operation (imputer,
-/// scaler, hasher, filters, sinks).  The transform-equivalence golden suite
-/// enforces this.
+/// Two drivers run the same stages:
 ///
-/// Planning is all-or-nothing: if any component declines to fuse (custom
-/// components, unsupported configurations), the caller falls back to the
-/// interpreted loop.  Plans are cached per (entry-schema fingerprint,
-/// pipeline state version) and invalidated whenever component statistics
-/// change (UpdateAndTransform / Reset / LoadState bump the version).
+///  - The pure path (Pipeline::Transform) compiles the whole chain into a
+///    FusedPlan, cached per (entry-schema fingerprint, pipeline state
+///    version) and invalidated whenever component statistics change
+///    (UpdateAndTransform / Reset / LoadState bump the version).
+///  - The online path (Pipeline::UpdateAndTransform) walks the chain once
+///    per chunk over a single block: at each stateful component an update
+///    barrier folds the block's live rows into the statistics (the
+///    component's block Update), and only then does the component's Fuse
+///    add its stages, which run on the block before the walk moves on.
+///    These per-chunk stages never enter the plan cache.
+///
+/// A component that cannot express its configuration as a block kernel
+/// (missing or non-numeric column, table-only component on vectors)
+/// returns an error from Fuse(); that error is what Transform /
+/// UpdateAndTransform report.  Outputs are pinned bit for bit by the
+/// transform-equivalence golden suite.
 namespace fusion {
 
 class PlanBuilder;
@@ -79,14 +85,20 @@ struct BlockColumn {
 
   bool IsNull(size_t r) const { return any_null && null[r] != 0; }
 
-  /// Numeric cell with the same widening NumericColumnView applies.
+  /// True for the types NumericAt can read.
+  bool is_numeric() const {
+    return type == ValueType::kDouble || type == ValueType::kInt64 ||
+           type == ValueType::kTimestamp;
+  }
+
+  /// Numeric cell; integer and timestamp cells widen by static_cast.
   double NumericAt(size_t r) const {
     return type == ValueType::kDouble ? d[r] : static_cast<double>(i[r]);
   }
 
-  /// Widens an integer/timestamp column to double in place — the block
-  /// analogue of TableData::PromoteColumnToDouble (all rows convert, null
-  /// placeholders included).
+  /// Widens an integer/timestamp column to double in place (all rows
+  /// convert, null placeholders included), so numeric components can write
+  /// fractional results into integer-typed input columns.
   void PromoteToDouble() {
     if (type == ValueType::kDouble) return;
     d.resize(i.size());
@@ -97,8 +109,7 @@ struct BlockColumn {
 
 /// Table-state block: columns in plan-assigned physical slots plus a keep
 /// mask.  Filters mark rows dead instead of materializing a filtered copy;
-/// sinks emit live rows in ascending row order, which is exactly the order
-/// a materialized Filter() would have produced.
+/// sinks and block Updates visit live rows in ascending row order.
 struct TableBlock {
   size_t num_rows = 0;
   size_t live_rows = 0;
@@ -151,7 +162,8 @@ struct HasherMemo {
 /// Per-(component, plan) lazily filled statistics memo — mean/σ per key.
 /// Unlike HasherMemo this caches *statistics-dependent* values, so it is
 /// keyed by the owning component and the plan serial: any statistics
-/// change produces a new plan (new serial) and implicitly invalidates it.
+/// change produces a new serial (a recompiled plan, or the next chunk's
+/// online walk) and implicitly invalidates it.
 struct StatsMemo {
   /// One record per key so a lookup touches one cache line, not three.
   struct Entry {
@@ -167,12 +179,33 @@ struct StatsMemo {
   /// default): one double per dimension keeps the memo L1-sized at typical
   /// hashed dims.  -1 marks an unfilled cell (σ is never negative).
   std::vector<double> sd;
+  /// Keys filled since the last rebind, in either variant.  A rebind resets
+  /// just these cells: the online path rebinds once per chunk, and an
+  /// O(dim) clear per chunk would cost more than the scaling itself.
+  std::vector<uint32_t> filled;
 
-  bool Matches(const void* o, uint64_t serial, size_t dim) const {
-    return owner == o && plan_serial == serial && entries.size() == dim;
+  /// Binds the σ-only variant to (owner, serial) over `dim` keys.
+  void BindSd(const void* o, uint64_t serial, size_t dim) {
+    if (owner == o && plan_serial == serial && sd.size() == dim) return;
+    Rebind(o, serial);
+    if (sd.size() != dim) sd.assign(dim, -1.0);
   }
-  bool MatchesSd(const void* o, uint64_t serial, size_t dim) const {
-    return owner == o && plan_serial == serial && sd.size() == dim;
+  /// Binds the (mean, σ) variant to (owner, serial) over `dim` keys.
+  void BindEntries(const void* o, uint64_t serial, size_t dim) {
+    if (owner == o && plan_serial == serial && entries.size() == dim) return;
+    Rebind(o, serial);
+    if (entries.size() != dim) entries.assign(dim, Entry{});
+  }
+
+ private:
+  void Rebind(const void* o, uint64_t serial) {
+    for (const uint32_t key : filled) {
+      if (key < sd.size()) sd[key] = -1.0;
+      if (key < entries.size()) entries[key].seen = 0;
+    }
+    filled.clear();
+    owner = o;
+    plan_serial = serial;
   }
 };
 
@@ -204,10 +237,13 @@ struct ExecContext {
   size_t end = 0;
   ExecScratch* scratch = nullptr;
   FeatureData* out = nullptr;
-  /// Serial of the executing plan (see FusedPlan::serial).
+  /// Serial of the executing plan (see FusedPlan::serial), or of the
+  /// online walk's per-chunk stages (see NextPlanSerial).
   uint64_t plan_serial = 0;
-  /// (row x component) scans, accumulated with the same multiplicities as
-  /// the interpreted loop so the cost model sees identical work counts.
+  /// (row x component) scans: every stage counts the live rows it is
+  /// handed, once per component, so the cost model sees one scan per
+  /// component per row (plus one update scan per stateful component on
+  /// the online path).
   size_t rows_scanned = 0;
   /// Stages that did provably no per-row work on this block.
   size_t stages_elided = 0;
@@ -231,8 +267,8 @@ class FusedStage {
 /// Builder each component's Fuse() contributes to.  Tracks the simulated
 /// batch representation (raw records -> table -> vector -> done) and the
 /// logical schema, so downstream components resolve columns at compile
-/// time.  A component that cannot express itself as a block kernel simply
-/// returns a non-OK status from Fuse(); the planner then abandons the plan.
+/// time.  A component that cannot express its configuration as a block
+/// kernel returns a non-OK status from Fuse(), which fails the transform.
 class PlanBuilder {
  public:
   enum class Repr { kRaw, kTable, kVec };
@@ -267,6 +303,15 @@ class PlanBuilder {
   /// projections, statistics-free scalers).
   void AddElidedStage(const char* label);
 
+  /// Appends the terminal stage that emits the vector block as FeatureData.
+  /// FailedPrecondition unless the chain ends vectorized.
+  Status AddSink();
+
+  /// Runs the stages appended since the previous call, in order, on `ctx`.
+  /// The online walk calls this after each component's Fuse, so every
+  /// stage runs before the next component's update barrier reads the block.
+  Status RunPendingStages(ExecContext& ctx);
+
  private:
   friend class FusedPlan;
 
@@ -280,8 +325,30 @@ class PlanBuilder {
   std::vector<ValueType> slot_types_;
   uint32_t vec_dim_ = 0;
   std::vector<std::unique_ptr<FusedStage>> stages_;
+  /// Stages already run by RunPendingStages.
+  size_t executed_ = 0;
   size_t compile_elided_ = 0;
 };
+
+/// What an update barrier hands a stateful component's block Update: the
+/// block exactly as the upstream stages left it, plus the plan under
+/// construction, whose representation and slots are the ones the
+/// component's Fuse compiles against next.  Updates fold only live rows
+/// (TableBlock rows whose keep byte is set), in ascending row order.
+struct UpdateBlock {
+  const PlanBuilder& plan;
+  const TableBlock& table;  ///< meaningful when plan.repr() == kTable
+  const VecBlock& vec;      ///< meaningful when plan.repr() == kVec
+};
+
+/// A fresh process-unique serial for statistics-dependent scratch memos.
+/// Every compiled plan takes one, and so does every chunk's online walk.
+uint64_t NextPlanSerial();
+
+/// Completes a block after its last stage: validates the emitted features,
+/// adds the block's scans to `*rows_scanned` (when non-null) and reports
+/// its elisions to the process-wide counter.
+Status FinishBlock(const ExecContext& ctx, size_t* rows_scanned);
 
 /// A compiled, immutable, thread-safe execution plan for one pipeline and
 /// one entry schema at one statistics version.
@@ -293,10 +360,10 @@ class FusedPlan {
     size_t compile_elided = 0;
   };
 
-  /// Compiles `components` against `entry_schema`.  Returns nullptr when
-  /// any component declines fusion or the chain does not end vectorized —
-  /// never an error; the caller falls back to the interpreted loop.
-  static std::shared_ptr<const FusedPlan> Compile(
+  /// Compiles `components` against `entry_schema`.  Fails with the first
+  /// component's Fuse error, or FailedPrecondition when the chain does not
+  /// end vectorized.
+  static Result<std::shared_ptr<const FusedPlan>> Compile(
       const std::vector<std::unique_ptr<PipelineComponent>>& components,
       const Schema& entry_schema);
 
@@ -308,7 +375,7 @@ class FusedPlan {
 
   const Stats& stats() const { return stats_; }
 
-  /// Process-unique, monotonically assigned at compile time.  Scratch
+  /// Process-unique, assigned at compile time by NextPlanSerial.  Scratch
   /// memos of statistics-dependent values key on this: a recompile (after
   /// any statistics change) yields a new serial, never a reused one.
   uint64_t serial() const { return serial_; }
@@ -353,18 +420,16 @@ class ScratchLease {
 };
 
 /// Plan cache keyed by entry-schema fingerprint, validated against the
-/// pipeline's statistics version.  Unfusable outcomes are cached too, so a
-/// pipeline with a custom component does not re-attempt compilation every
-/// chunk.  Thread-safe: Transform runs concurrently on engine workers.
+/// pipeline's statistics version.  Only compiled plans are cached: a chain
+/// that fails to compile is a configuration error, returned to the caller
+/// every time.  Thread-safe: Transform runs concurrently on engine workers.
 class PlanCache {
  public:
   /// The cached plan for (entry schema, version), compiling on miss or
-  /// version change.  nullptr when the pipeline cannot be fused.
-  std::shared_ptr<const FusedPlan> GetOrCompile(
+  /// version change.
+  Result<std::shared_ptr<const FusedPlan>> GetOrCompile(
       const std::vector<std::unique_ptr<PipelineComponent>>& components,
       const Schema& entry_schema, uint64_t version);
-
-  void Clear();
 
   // Introspection (tests / reports); process-wide counterparts live in the
   // metrics registry as pipeline.plan_cache_hits / _misses /
@@ -377,7 +442,7 @@ class PlanCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const FusedPlan> plan;  // nullptr => known unfusable
+    std::shared_ptr<const FusedPlan> plan;
     uint64_t version = 0;
   };
 

@@ -10,16 +10,16 @@
 
 namespace cdpipe {
 
-/// Parses raw text records (the single-"raw"-column table produced by
-/// `Pipeline::WrapRaw`) into typed data.  Two formats cover the paper's
-/// pipelines:
+/// Parses the raw text records of a chunk (the pipeline's single "raw"
+/// string column) into typed data.  Must be the first component.  Two
+/// formats cover the paper's pipelines:
 ///
 ///  - **LibSvm**: `"<label> <index>:<value> <index>:<value> ..."` — the URL
-///    dataset's representation.  Produces FeatureData directly (labels are
-///    mapped to ±1 for classifiers).  A value spelled `nan` is parsed as a
-///    missing value, to be filled by the MissingValueImputer.
+///    dataset's representation.  Produces a vector block directly (labels
+///    are mapped to ±1 for classifiers).  A value spelled `nan` is parsed as
+///    a missing value, to be filled by the MissingValueImputer.
 ///  - **Csv**: delimiter-separated fields parsed against a target schema —
-///    the Taxi dataset's representation.  Produces TableData.
+///    the Taxi dataset's representation.  Produces a table block.
 ///
 /// Malformed records are dropped (and counted) unless `strict` is set, in
 /// which case parsing fails with InvalidArgument.  Dropping is the right
@@ -48,7 +48,6 @@ class InputParser : public PipelineComponent {
     return ComponentKind::kDataTransformation;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 
@@ -71,27 +70,23 @@ class InputParser : public PipelineComponent {
     std::string_view s;
   };
 
-  /// Per-row libsvm kernel shared by the interpreted batch path and the
-  /// fused block stage (one compiled body, so outputs are bit-identical):
-  /// parses `line` into uncollapsed (index, value) entries plus the
-  /// (possibly binarized) label, using `*tokens` as reusable scratch.
+  /// Per-row libsvm kernel of the parse stage: parses `line` into
+  /// uncollapsed (index, value) entries plus the (possibly binarized)
+  /// label, using `*tokens` as reusable scratch.
   /// Counts a malformed record and returns kMalformed — or InvalidArgument
   /// in strict mode.  Indices are validated against feature_dim.
   Result<RowVerdict> ParseLibSvmRecord(
       std::string_view line, std::vector<std::pair<uint32_t, double>>* entries,
       double* label, std::vector<std::string_view>* tokens) const;
 
-  /// Per-row CSV kernel, same sharing contract: splits `line` on the
-  /// delimiter into `*fields` and parses each against the csv schema into
-  /// `*cells` (which must be presized to the schema's field count).
+  /// Per-row CSV kernel of the parse stage: splits `line` on the delimiter
+  /// into `*fields` and parses each against the csv schema into `*cells`
+  /// (which must be presized to the schema's field count).
   Result<RowVerdict> ParseCsvRecord(std::string_view line,
                                     std::vector<std::string_view>* fields,
                                     std::vector<CsvCell>* cells) const;
 
  private:
-  Result<DataBatch> TransformLibSvm(const TableData& table) const;
-  Result<DataBatch> TransformCsv(const TableData& table) const;
-
   Options options_;
   mutable std::atomic<size_t> malformed_{0};
 };

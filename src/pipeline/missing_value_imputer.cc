@@ -6,14 +6,13 @@
 #include <vector>
 
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused feature-mode kernel: replaces NaN entries in the vector block in
+/// Feature-mode kernel: replaces NaN entries in the vector block in
 /// place.  The parser records which rows contain a NaN (`nan_rows`); the
 /// fill scan touches only those rows, and a block with none — the
 /// overwhelmingly common case — is skipped entirely and counted as a
@@ -51,11 +50,12 @@ class ImputeVecStage final : public fusion::FusedStage {
   const MissingValueImputer* imputer_;
 };
 
-/// Fused table-mode kernel.  Fill values are snapshotted at plan-compile
-/// time: any statistics change bumps the pipeline state version, which
-/// invalidates the plan, so the snapshot is exactly what the interpreted
-/// path would read.  Columns with no nulls in the block are skipped; a
-/// block where every configured column is clean counts as an elision.
+/// Table-mode kernel.  Fill values are snapshotted when the stage is built:
+/// any statistics change bumps the pipeline state version, which
+/// invalidates the plan, so the snapshot always matches the statistics.
+/// Columns with no nulls in the block are skipped; a block where every
+/// configured column is clean counts as an elision.  The fill value is
+/// fractional in general, so integer columns widen to double first.
 class ImputeTableStage final : public fusion::FusedStage {
  public:
   struct Fill {
@@ -95,64 +95,38 @@ class ImputeTableStage final : public fusion::FusedStage {
 MissingValueImputer::MissingValueImputer(Options options)
     : options_(std::move(options)) {}
 
-Status MissingValueImputer::Update(const DataBatch& batch) {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    for (const SparseVector& x : features->features) {
-      const auto& idx = x.indices();
-      const auto& val = x.values();
-      for (size_t k = 0; k < idx.size(); ++k) {
-        if (std::isnan(val[k])) continue;
-        RunningMean& rm = stats_[idx[k]];
-        rm.count += 1;
-        rm.sum += val[k];
-      }
+Status MissingValueImputer::Update(const fusion::UpdateBlock& block) {
+  using Repr = fusion::PlanBuilder::Repr;
+  if (block.plan.repr() == Repr::kVec) {
+    for (const auto& [index, value] : block.vec.entries) {
+      if (std::isnan(value)) continue;
+      RunningMean& rm = stats_[index];
+      rm.count += 1;
+      rm.sum += value;
     }
     return Status::OK();
   }
-  const auto& table = std::get<TableData>(batch);
+  if (block.plan.repr() != Repr::kTable) {
+    return Status::FailedPrecondition(
+        "imputer expects a table or vectorized block");
+  }
+  const fusion::TableBlock& table = block.table;
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table.schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table.column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot,
+                            block.plan.SlotOf(options_.columns[c]));
+    const fusion::BlockColumn& col = table.cols[slot];
+    if (!col.is_numeric()) {
       return Status::FailedPrecondition("cannot impute non-numeric column " +
                                         options_.columns[c]);
     }
     RunningMean& rm = stats_[static_cast<uint32_t>(c)];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) rm.sum += (*view)[r];
-      rm.count += static_cast<int64_t>(rows);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        rm.count += 1;
-        rm.sum += (*view)[r];
-      }
+    for (size_t r = 0; r < table.num_rows; ++r) {
+      if (table.keep[r] == 0 || col.IsNull(r)) continue;
+      rm.count += 1;
+      rm.sum += col.NumericAt(r);
     }
   }
   return Status::OK();
-}
-
-Result<DataBatch> MissingValueImputer::Transform(const DataBatch& batch) const {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    FeatureData out = *features;
-    ImputeFeatures(&out);
-    return DataBatch(std::move(out));
-  }
-  TableData out = std::get<TableData>(batch);
-  CDPIPE_RETURN_NOT_OK(ImputeTable(&out));
-  return DataBatch(std::move(out));
-}
-
-Result<DataBatch> MissingValueImputer::TransformOwned(DataBatch&& batch) const {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    ImputeFeatures(features);
-    return std::move(batch);
-  }
-  CDPIPE_RETURN_NOT_OK(ImputeTable(&std::get<TableData>(batch)));
-  return std::move(batch);
 }
 
 Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) const {
@@ -172,8 +146,6 @@ Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) const {
   std::vector<ImputeTableStage::Fill> fills;
   fills.reserve(options_.columns.size());
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or non-numeric columns decline fusion; the interpreted path
-    // owns reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot impute non-numeric column " +
@@ -186,43 +158,6 @@ Status MissingValueImputer::Fuse(fusion::PlanBuilder* plan) const {
     fills.push_back(ImputeTableStage::Fill{slot, fill});
   }
   plan->AddStage(std::make_unique<ImputeTableStage>(std::move(fills)));
-  return Status::OK();
-}
-
-void MissingValueImputer::ImputeFeatures(FeatureData* features) const {
-  for (SparseVector& x : features->features) {
-    x.TransformValues([this](uint32_t index, double value) {
-      return std::isnan(value) ? MeanForDimension(index) : value;
-    });
-  }
-}
-
-Status MissingValueImputer::ImputeTable(TableData* table) const {
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    auto it = stats_.find(static_cast<uint32_t>(c));
-    const double fill = it != stats_.end()
-                            ? it->second.Mean(options_.default_value)
-                            : options_.default_value;
-    Column& column = table->mutable_column(col);
-    if (!column.has_nulls()) continue;
-    // The fill value is fractional in general, so integer columns widen to
-    // double first (same numeric result as the row path's Value::Double
-    // cells feeding AsDouble downstream).
-    if (column.type() != ValueType::kDouble) {
-      CDPIPE_RETURN_NOT_OK(table->PromoteColumnToDouble(col));
-    }
-    Column& target = table->mutable_column(col);
-    std::vector<double>& cells = target.mutable_doubles();
-    for (size_t r = 0; r < cells.size(); ++r) {
-      if (target.IsNull(r)) {
-        cells[r] = fill;
-        target.ClearNull(r);
-      }
-    }
-    target.DropBitmapIfAllValid();
-  }
   return Status::OK();
 }
 

@@ -11,17 +11,17 @@
 namespace cdpipe {
 
 /// Replaces missing values with the running mean of the observed values —
-/// per feature dimension for vectorized batches (NaN entries), per column
-/// for table batches (null cells).
+/// per feature dimension for vector blocks (NaN entries), per column for
+/// table blocks (null cells).
 ///
 /// The mean is an incrementally maintainable statistic, so this component
 /// participates in online statistics computation (§3.1): `Update` folds each
-/// arriving chunk into per-dimension (count, sum) accumulators and
-/// `Transform` reads them without rescanning history.
+/// arriving chunk into per-dimension (count, sum) accumulators and the
+/// fill stage reads them without rescanning history.
 class MissingValueImputer : public PipelineComponent {
  public:
   struct Options {
-    /// Table mode: columns to impute.  Ignored for feature batches.
+    /// Table mode: columns to impute.  Ignored for vector blocks.
     std::vector<std::string> columns;
     /// Value used when a dimension has never been observed.
     double default_value = 0.0;
@@ -36,9 +36,7 @@ class MissingValueImputer : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
+  Status Update(const fusion::UpdateBlock& block) override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
@@ -57,11 +55,6 @@ class MissingValueImputer : public PipelineComponent {
       return count > 0 ? sum / static_cast<double>(count) : fallback;
     }
   };
-
-  /// Shared kernel for Transform/TransformOwned: fills nulls in `*table`
-  /// in place, widening integer columns to double first.
-  Status ImputeTable(TableData* table) const;
-  void ImputeFeatures(FeatureData* features) const;
 
   Options options_;
   /// Feature mode: keyed by feature index.  Table mode: keyed by the index

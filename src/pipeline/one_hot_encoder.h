@@ -12,7 +12,7 @@
 
 namespace cdpipe {
 
-/// Vectorizing encoder: converts a table batch into sparse feature vectors
+/// Vectorizing encoder: converts a table block into sparse feature vectors
 /// made of the configured numeric columns followed by one-hot blocks for the
 /// configured categorical columns.
 ///
@@ -47,8 +47,7 @@ class OneHotEncoder : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
+  Status Update(const fusion::UpdateBlock& block) override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
@@ -63,9 +62,9 @@ class OneHotEncoder : public PipelineComponent {
 
   /// Index of `value` within column c's block: dictionary slot when known,
   /// hashed slot when the value is unknown or the dictionary is full.
-  /// Public because the fused kernel resolves slots through the same
-  /// lookup (dictionaries are state, so the plan holding the kernel is
-  /// invalidated whenever they change).
+  /// Public because the encoder stage resolves slots through it at run time
+  /// (dictionaries are state, so the plan holding the stage is invalidated
+  /// whenever they change).
   uint32_t SlotOf(size_t c, std::string_view value) const;
 
  private:

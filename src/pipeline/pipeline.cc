@@ -1,9 +1,9 @@
 #include "src/pipeline/pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/common/stopwatch.h"
 #include "src/engine/execution_engine.h"
@@ -38,39 +38,19 @@ const std::shared_ptr<const Schema>& RawSchema() {
   return kRawSchema;
 }
 
-/// CDPIPE_EXEC_MODE overrides the execution mode at every call site:
-/// "interpreted" is the kill switch for the fused path, "fused" forces even
-/// the serial Transform overload through the fused plan (CI runs the fault
-/// suite this way).  Read once; unrecognized values are ignored.
-enum class ExecModeOverride { kNone, kInterpreted, kFused };
-
-ExecModeOverride GetExecModeOverride() {
-  static const ExecModeOverride kOverride = [] {
-    const char* env = std::getenv("CDPIPE_EXEC_MODE");
-    if (env == nullptr) return ExecModeOverride::kNone;
-    if (std::strcmp(env, "interpreted") == 0) {
-      return ExecModeOverride::kInterpreted;
-    }
-    if (std::strcmp(env, "fused") == 0) return ExecModeOverride::kFused;
-    return ExecModeOverride::kNone;
-  }();
-  return kOverride;
-}
-
-/// The pipeline contract: the final batch must be vectorized features.
-Result<FeatureData> FinishBatch(DataBatch batch, const std::string& context) {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    CDPIPE_RETURN_NOT_OK(features->Validate());
-    return std::move(*features);
+/// Rows that reach the next component: the raw records before the parser,
+/// then the block's live rows.
+size_t LiveRows(const fusion::PlanBuilder& plan,
+                const fusion::ExecContext& ctx) {
+  switch (plan.repr()) {
+    case fusion::PlanBuilder::Repr::kRaw:
+      return ctx.raw_rows();
+    case fusion::PlanBuilder::Repr::kTable:
+      return ctx.scratch->table.live_rows;
+    case fusion::PlanBuilder::Repr::kVec:
+      return ctx.scratch->vec.num_rows();
   }
-  return Status::FailedPrecondition(
-      "pipeline did not end in a vectorizing component (" + context +
-      " produced a table batch); append a FeatureHasher, OneHotEncoder, or "
-      "VectorAssembler");
-}
-
-void CountScan(size_t* rows_scanned, const DataBatch& batch) {
-  if (rows_scanned != nullptr) *rows_scanned += BatchNumRows(batch);
+  return 0;
 }
 
 struct ShardOutput {
@@ -79,8 +59,6 @@ struct ShardOutput {
 };
 
 /// Fixed-order merge: concatenates shard outputs in ascending shard order.
-/// Shared by the interpreted and fused sharded paths so both produce the
-/// exact same concatenation.
 Result<FeatureData> MergeShardOutputs(std::vector<ShardOutput> shards,
                                       size_t* rows_scanned) {
   FeatureData merged;
@@ -122,83 +100,93 @@ Status Pipeline::AddComponent(std::unique_ptr<PipelineComponent> component) {
   return Status::OK();
 }
 
-TableData Pipeline::WrapRaw(const RawChunk& chunk) {
-  Column raw(ValueType::kString);
-  for (const std::string& record : chunk.records) {
-    raw.AppendBorrowedString(record);
+Result<FeatureData> Pipeline::WalkChunk(
+    const RawChunk& chunk, const std::vector<PipelineComponent*>& chain,
+    size_t* rows_scanned) const {
+  fusion::ScratchLease lease(scratch_pool_.get());
+  fusion::PlanBuilder plan(*RawSchema());
+  FeatureData out;
+  fusion::ExecContext ctx;
+  ctx.records = &chunk.records;
+  ctx.begin = 0;
+  ctx.end = chunk.records.size();
+  ctx.scratch = lease.get();
+  ctx.out = &out;
+  // Statistics move at every barrier, so the chunk's stages get a serial
+  // no statistics memo has seen.
+  ctx.plan_serial = fusion::NextPlanSerial();
+  for (size_t i = 0; i < chain.size(); ++i) {
+    PipelineComponent* component = chain[i];
+    CDPIPE_TRACE_SPAN(component_names_[i].c_str(), "pipeline");
+    Stopwatch watch;
+    if (component->is_stateful()) {
+      ctx.rows_scanned += LiveRows(plan, ctx);  // the statistics-update scan
+      CDPIPE_RETURN_NOT_OK(component->Update(fusion::UpdateBlock{
+          plan, ctx.scratch->table, ctx.scratch->vec}));
+    }
+    CDPIPE_RETURN_NOT_OK(component->Fuse(&plan));
+    CDPIPE_RETURN_NOT_OK(plan.RunPendingStages(ctx));
+    component_histograms_[i]->Observe(watch.ElapsedSeconds());
   }
-  std::vector<Column> columns;
-  columns.push_back(std::move(raw));
-  return std::move(TableData::Make(RawSchema(), std::move(columns)))
-      .ValueOrDie();
-}
-
-std::vector<Pipeline::StageRef> Pipeline::TransformStages() const {
-  std::vector<StageRef> stages;
-  stages.reserve(components_.size());
-  for (size_t i = 0; i < components_.size(); ++i) {
-    stages.push_back(StageRef{components_[i].get(), component_histograms_[i],
-                              component_names_[i].c_str()});
-  }
-  return stages;
+  CDPIPE_RETURN_NOT_OK(plan.AddSink());
+  CDPIPE_RETURN_NOT_OK(plan.RunPendingStages(ctx));
+  CDPIPE_RETURN_NOT_OK(fusion::FinishBlock(ctx, rows_scanned));
+  return out;
 }
 
 Result<FeatureData> Pipeline::UpdateAndTransform(const RawChunk& chunk,
                                                  size_t* rows_scanned) {
-  // Invalidate cached fused plans before the first statistic moves.
+  // Invalidate cached plans before the first statistic moves.
   state_version_.fetch_add(1, std::memory_order_acq_rel);
-  const std::vector<StageRef> stages = TransformStages();
-  DataBatch batch = WrapRaw(chunk);
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    if (stage.component->is_stateful()) {
-      CountScan(rows_scanned, batch);  // the statistics-update scan
-      CDPIPE_RETURN_NOT_OK(stage.component->Update(batch));
+  std::vector<PipelineComponent*> chain;
+  chain.reserve(components_.size());
+  for (const auto& component : components_) chain.push_back(component.get());
+  return WalkChunk(chunk, chain, rows_scanned);
+}
+
+Result<FeatureData> Pipeline::TransformRecomputingStatistics(
+    const RawChunk& chunk, size_t* rows_scanned) const {
+  // Without online statistics computation the platform has to rescan the
+  // chunk to rebuild each stateful component's statistics before
+  // transforming it: each one is swapped for a reset clone.
+  std::vector<std::unique_ptr<PipelineComponent>> scratch;
+  std::vector<PipelineComponent*> chain;
+  chain.reserve(components_.size());
+  for (const auto& component : components_) {
+    if (component->is_stateful()) {
+      scratch.push_back(component->Clone());
+      scratch.back()->Reset();
+      chain.push_back(scratch.back().get());
+    } else {
+      chain.push_back(component.get());
     }
-    CountScan(rows_scanned, batch);  // the transform scan
-    CDPIPE_ASSIGN_OR_RETURN(batch,
-                            stage.component->TransformOwned(std::move(batch)));
-    stage.histogram->Observe(watch.ElapsedSeconds());
   }
-  return FinishBatch(std::move(batch), ToString());
+  return WalkChunk(chunk, chain, rows_scanned);
 }
 
-Result<FeatureData> Pipeline::RunTransform(const std::vector<StageRef>& stages,
-                                           DataBatch batch,
-                                           size_t* rows_scanned) const {
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    CountScan(rows_scanned, batch);
-    CDPIPE_ASSIGN_OR_RETURN(batch,
-                            stage.component->TransformOwned(std::move(batch)));
-    stage.histogram->Observe(watch.ElapsedSeconds());
-  }
-  return FinishBatch(std::move(batch), ToString());
+Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
+                                        size_t* rows_scanned) const {
+  return Transform(chunk, /*engine=*/nullptr, rows_scanned);
 }
 
-std::shared_ptr<const fusion::FusedPlan> Pipeline::FusedPlanForTransform()
-    const {
-  if (plan_cache_ == nullptr) return nullptr;  // moved-from shell
-  return plan_cache_->GetOrCompile(components_, *RawSchema(),
-                                   state_version());
-}
-
-Result<FeatureData> Pipeline::TransformFused(const RawChunk& chunk,
-                                             ExecutionEngine* engine,
-                                             const fusion::FusedPlan& plan,
-                                             size_t* rows_scanned) const {
+Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
+                                        ExecutionEngine* engine,
+                                        size_t* rows_scanned) const {
   CDPIPE_TRACE_SPAN("pipeline.fused_transform", "pipeline");
+  CDPIPE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const fusion::FusedPlan> plan,
+      plan_cache_->GetOrCompile(components_, *RawSchema(), state_version()));
   const size_t rows = chunk.records.size();
   const size_t num_shards = NumTransformShards(rows);
   if (engine == nullptr || engine->num_threads() <= 1 || num_shards <= 1) {
     FeatureData out;
     fusion::ScratchLease lease(scratch_pool_.get());
-    CDPIPE_RETURN_NOT_OK(plan.Execute(chunk.records, 0, rows, lease.get(),
-                                      &out, rows_scanned));
+    CDPIPE_RETURN_NOT_OK(plan->Execute(chunk.records, 0, rows, lease.get(),
+                                       &out, rows_scanned));
     return out;
   }
+  // Shard boundaries depend on the row count only: the first `remainder`
+  // shards take one extra row.
   const size_t base = rows / num_shards;
   const size_t remainder = rows % num_shards;
   std::vector<ShardOutput> shards(num_shards);
@@ -210,101 +198,10 @@ Result<FeatureData> Pipeline::TransformFused(const RawChunk& chunk,
         out.scanned = 0;  // overwritten wholesale: the task is
         out.features = FeatureData{};  // retry-idempotent
         fusion::ScratchLease lease(scratch_pool_.get());
-        return plan.Execute(chunk.records, begin, end, lease.get(),
-                            &out.features, &out.scanned);
+        return plan->Execute(chunk.records, begin, end, lease.get(),
+                             &out.features, &out.scanned);
       }));
   return MergeShardOutputs(std::move(shards), rows_scanned);
-}
-
-Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
-                                        size_t* rows_scanned) const {
-  if (GetExecModeOverride() == ExecModeOverride::kFused) {
-    if (std::shared_ptr<const fusion::FusedPlan> plan =
-            FusedPlanForTransform()) {
-      return TransformFused(chunk, nullptr, *plan, rows_scanned);
-    }
-  }
-  return RunTransform(TransformStages(), WrapRaw(chunk), rows_scanned);
-}
-
-Result<FeatureData> Pipeline::Transform(const RawChunk& chunk,
-                                        ExecutionEngine* engine,
-                                        size_t* rows_scanned,
-                                        ExecMode mode) const {
-  switch (GetExecModeOverride()) {
-    case ExecModeOverride::kInterpreted:
-      mode = ExecMode::kInterpreted;
-      break;
-    case ExecModeOverride::kFused:
-      mode = ExecMode::kFused;
-      break;
-    case ExecModeOverride::kNone:
-      break;
-  }
-  if (mode == ExecMode::kFused) {
-    if (std::shared_ptr<const fusion::FusedPlan> plan =
-            FusedPlanForTransform()) {
-      return TransformFused(chunk, engine, *plan, rows_scanned);
-    }
-  }
-  const size_t rows = chunk.records.size();
-  const size_t num_shards = NumTransformShards(rows);
-  const std::vector<StageRef> stages = TransformStages();
-  if (engine == nullptr || engine->num_threads() <= 1 || num_shards <= 1) {
-    return RunTransform(stages, WrapRaw(chunk), rows_scanned);
-  }
-  // Shard boundaries depend on the row count only: the first `remainder`
-  // shards take one extra row.
-  const size_t base = rows / num_shards;
-  const size_t remainder = rows % num_shards;
-  std::vector<ShardOutput> shards(num_shards);
-  CDPIPE_RETURN_NOT_OK(
-      engine->ParallelFor(num_shards, [&](size_t s) -> Status {
-        const size_t begin = s * base + std::min(s, remainder);
-        const size_t end = begin + base + (s < remainder ? 1 : 0);
-        Column raw(ValueType::kString);
-        for (size_t r = begin; r < end; ++r) {
-          raw.AppendBorrowedString(chunk.records[r]);
-        }
-        std::vector<Column> columns;
-        columns.push_back(std::move(raw));
-        CDPIPE_ASSIGN_OR_RETURN(
-            TableData table, TableData::Make(RawSchema(), std::move(columns)));
-        ShardOutput& out = shards[s];
-        out.scanned = 0;  // overwritten wholesale: the task is retry-idempotent
-        CDPIPE_ASSIGN_OR_RETURN(
-            out.features,
-            RunTransform(stages, DataBatch(std::move(table)), &out.scanned));
-        return Status::OK();
-      }));
-  return MergeShardOutputs(std::move(shards), rows_scanned);
-}
-
-Result<FeatureData> Pipeline::TransformRecomputingStatistics(
-    const RawChunk& chunk, size_t* rows_scanned) const {
-  const std::vector<StageRef> stages = TransformStages();
-  DataBatch batch = WrapRaw(chunk);
-  for (const StageRef& stage : stages) {
-    CDPIPE_TRACE_SPAN(stage.name, "pipeline");
-    Stopwatch watch;
-    if (stage.component->is_stateful()) {
-      // Without online statistics computation the platform has to rescan the
-      // chunk to rebuild the component's statistics before transforming.
-      std::unique_ptr<PipelineComponent> scratch = stage.component->Clone();
-      scratch->Reset();
-      CountScan(rows_scanned, batch);  // the recomputation scan
-      CDPIPE_RETURN_NOT_OK(scratch->Update(batch));
-      CountScan(rows_scanned, batch);
-      CDPIPE_ASSIGN_OR_RETURN(batch,
-                              scratch->TransformOwned(std::move(batch)));
-    } else {
-      CountScan(rows_scanned, batch);
-      CDPIPE_ASSIGN_OR_RETURN(batch,
-                              stage.component->TransformOwned(std::move(batch)));
-    }
-    stage.histogram->Observe(watch.ElapsedSeconds());
-  }
-  return FinishBatch(std::move(batch), ToString());
 }
 
 std::unique_ptr<Pipeline> Pipeline::Clone() const {

@@ -20,24 +20,6 @@ namespace obs {
 class Histogram;
 }  // namespace obs
 
-/// How the pure transform path executes the component chain.
-///
-///  - `kInterpreted`: the classic loop — every component's batch kernel in
-///    sequence, materializing a TableData/FeatureData between stages.
-///  - `kFused`: a per-schema compiled block plan (src/pipeline/fusion) that
-///    chains column kernels through per-thread scratch without intermediate
-///    materialization.  Output is bit-identical to kInterpreted; pipelines
-///    containing components that do not implement `Fuse` silently fall back
-///    to the interpreted loop.
-///
-/// The CDPIPE_EXEC_MODE environment variable (read once) overrides every
-/// call site: "interpreted" is the kill switch, "fused" additionally routes
-/// the serial Transform overload through the fused plan.
-enum class ExecMode {
-  kInterpreted,
-  kFused,
-};
-
 /// An ordered sequence of pipeline components ending in a vectorizing stage,
 /// i.e. the full preprocessing part of a deployed ML pipeline.  The model is
 /// deliberately *not* part of this class — it is attached by the
@@ -45,10 +27,11 @@ enum class ExecMode {
 /// touching preprocessing.
 ///
 /// The pipeline owns its components.  Statistics live inside the components;
-/// the two entry points mirror the paper's two data paths:
+/// the two entry points mirror the paper's two data paths, and both run
+/// the components' block kernels (src/pipeline/fusion):
 ///
 ///  - `UpdateAndTransform` — the online path for arriving training chunks:
-///    every component first folds the batch into its statistics, then
+///    every component first folds the chunk into its statistics, then
 ///    transforms it (online statistics computation, §3.1).
 ///  - `Transform` — the pure path for prediction queries and for
 ///    re-materializing evicted feature chunks (§3.2): statistics are only
@@ -88,25 +71,21 @@ class Pipeline {
   size_t num_components() const { return components_.size(); }
   const PipelineComponent& component(size_t i) const { return *components_[i]; }
 
-  /// Wraps a raw chunk into the pipeline's entry representation: a table
-  /// with a single string column named "raw".  The table BORROWS every
-  /// record (zero-copy string views), so it is only valid while `chunk` is
-  /// alive and unmodified; the parser copies whatever it keeps.
-  static TableData WrapRaw(const RawChunk& chunk);
-  /// Borrowing from a temporary would dangle immediately.
-  static TableData WrapRaw(RawChunk&&) = delete;
-
-  /// Online path: Update then Transform through every component.  Output
-  /// must be FeatureData (the pipeline must end in a vectorizing stage).
-  /// `rows_scanned`, when non-null, accumulates the number of (row ×
-  /// component) scans performed, for cost accounting.  Always interpreted:
-  /// statistics mutate mid-chain, so no fused plan can be valid, and this
-  /// call advances the statistics version that invalidates cached plans.
+  /// Online path: one walk down the chain over a single block covering the
+  /// whole chunk.  At each stateful component an update barrier folds the
+  /// block's live rows into its statistics; then the component's stages
+  /// run on the block.  Output must be FeatureData (the pipeline must end
+  /// in a vectorizing stage).  `rows_scanned`, when non-null, accumulates
+  /// the number of (row × component) scans performed, for cost accounting:
+  /// one transform scan per component plus one update scan per stateful
+  /// component, over the rows that reach it.  The walk's stages are built
+  /// per chunk and bypass the plan cache; the call advances the statistics
+  /// version that invalidates cached plans.
   Result<FeatureData> UpdateAndTransform(const RawChunk& chunk,
                                          size_t* rows_scanned = nullptr);
 
-  /// Pure path: Transform only.  Used for prediction queries and dynamic
-  /// re-materialization.
+  /// Pure path: Transform only, through the cached compiled plan.  Used
+  /// for prediction queries and dynamic re-materialization.
   Result<FeatureData> Transform(const RawChunk& chunk,
                                 size_t* rows_scanned = nullptr) const;
 
@@ -116,19 +95,19 @@ class Pipeline {
   /// function of the row count ONLY (mirroring the sharded gradient path in
   /// linear_model.cc) and the per-shard outputs are concatenated in shard
   /// order — the result is bit-identical to the serial overload for any
-  /// engine thread count AND either execution mode.  Must not be called
-  /// from inside an engine task (the pool does not nest).  Falls back to
-  /// the serial overload for small chunks or a single-threaded engine, and
-  /// to the interpreted loop when the pipeline cannot be fused.
+  /// engine thread count.  Must not be called from inside an engine task
+  /// (the pool does not nest).  Runs serially for small chunks or a
+  /// single-threaded engine.
   Result<FeatureData> Transform(const RawChunk& chunk, ExecutionEngine* engine,
-                                size_t* rows_scanned = nullptr,
-                                ExecMode mode = ExecMode::kFused) const;
+                                size_t* rows_scanned = nullptr) const;
 
   /// The NoOptimization baseline (§5.4): processes the chunk as if online
-  /// statistics computation did not exist — each stateful component's
-  /// statistics are recomputed from scratch *for this chunk* on a throwaway
-  /// clone (one extra scan per stateful component), then the chunk is
-  /// transformed.  The deployed statistics are not touched.
+  /// statistics computation did not exist — the same walk as
+  /// UpdateAndTransform, but each stateful component's statistics are
+  /// recomputed from scratch *for this chunk* on a throwaway reset clone
+  /// (one extra scan per stateful component).  The deployed statistics are
+  /// not touched; stateless components (and their drop counters) are the
+  /// deployed ones.
   Result<FeatureData> TransformRecomputingStatistics(
       const RawChunk& chunk, size_t* rows_scanned = nullptr) const;
 
@@ -159,36 +138,13 @@ class Pipeline {
   const fusion::PlanCache* plan_cache() const { return plan_cache_.get(); }
 
  private:
-  /// One interpreted stage with dispatch pre-resolved: the component, its
-  /// latency histogram, and its display name materialized once per
-  /// Transform call instead of once per component per shard.
-  struct StageRef {
-    PipelineComponent* component;
-    obs::Histogram* histogram;
-    const char* name;
-  };
-
-  /// Pre-resolves per-stage dispatch for one (possibly sharded) call.  The
-  /// borrowed name pointers stay valid for the duration of the call.
-  std::vector<StageRef> TransformStages() const;
-
-  /// Statistics-frozen transform of an already-wrapped batch: drives every
-  /// component through TransformOwned.  Shared by the serial and sharded
-  /// pure paths.
-  Result<FeatureData> RunTransform(const std::vector<StageRef>& stages,
-                                   DataBatch batch,
-                                   size_t* rows_scanned) const;
-
-  /// The fused plan for the current statistics version, or nullptr when
-  /// the pipeline cannot be fused (then callers use the interpreted loop).
-  std::shared_ptr<const fusion::FusedPlan> FusedPlanForTransform() const;
-
-  /// Executes a compiled plan over the chunk, serial or engine-sharded with
-  /// the same shard function and merge order as the interpreted path.
-  Result<FeatureData> TransformFused(const RawChunk& chunk,
-                                     ExecutionEngine* engine,
-                                     const fusion::FusedPlan& plan,
-                                     size_t* rows_scanned) const;
+  /// The online walk shared by UpdateAndTransform and
+  /// TransformRecomputingStatistics.  `chain[i]` stands at position i: the
+  /// deployed component, or a throwaway clone of it.  Every stateful
+  /// `chain[i]` folds the block in at its update barrier.
+  Result<FeatureData> WalkChunk(const RawChunk& chunk,
+                                const std::vector<PipelineComponent*>& chain,
+                                size_t* rows_scanned) const;
 
   std::vector<std::unique_ptr<PipelineComponent>> components_;
   /// Parallel to components_: per-component transform-latency histograms

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -15,11 +14,13 @@ namespace {
 
 constexpr double kMinStdDev = StandardScaler::kMinStdDev;
 
-/// Fused feature-mode kernel.  The (mean, σ) memo lives in the per-thread
+/// Feature-mode kernel.  The (mean, σ) memo lives in the per-thread
 /// scratch, keyed by (scaler, plan serial): it persists across blocks for
-/// the lifetime of one plan — statistics changes recompile the plan with a
-/// fresh serial, which invalidates it.  Arithmetic is exactly the
-/// interpreted path's, so outputs are bit-identical.
+/// the lifetime of one plan — statistics changes recompile the plan (or
+/// start the next chunk's online walk) with a fresh serial, which
+/// invalidates it.  Division stays per value ((x - μ) / σ, never a
+/// precomputed reciprocal), so memoized and direct lookups agree bit for
+/// bit.
 class ScaleVecStage final : public fusion::FusedStage {
  public:
   ScaleVecStage(const StandardScaler* scaler, bool with_mean)
@@ -37,34 +38,26 @@ class ScaleVecStage final : public fusion::FusedStage {
         // σ-only memo: 8 bytes per dimension keeps the random lookups
         // L1-resident at typical hashed dims (σ alone decides the scale
         // when the mean is not subtracted).
-        if (!memo.MatchesSd(scaler_, ctx.plan_serial, dim)) {
-          memo.owner = scaler_;
-          memo.plan_serial = ctx.plan_serial;
-          memo.entries.clear();
-          memo.sd.assign(dim, -1.0);
-        }
+        memo.BindSd(scaler_, ctx.plan_serial, dim);
         for (auto& entry : vec.entries) {
           double sd = memo.sd[entry.first];
           if (sd < 0.0) {
             sd = scaler_->StdDevOf(entry.first);
             memo.sd[entry.first] = sd;
+            memo.filled.push_back(entry.first);
           }
           if (sd > kMinStdDev) entry.second = entry.second / sd;
         }
         return Status::OK();
       }
-      if (!memo.Matches(scaler_, ctx.plan_serial, dim)) {
-        memo.owner = scaler_;
-        memo.plan_serial = ctx.plan_serial;
-        memo.sd.clear();
-        memo.entries.assign(dim, fusion::StatsMemo::Entry{});
-      }
+      memo.BindEntries(scaler_, ctx.plan_serial, dim);
       for (auto& entry : vec.entries) {
         fusion::StatsMemo::Entry& m = memo.entries[entry.first];
         if (!m.seen) {
           m.seen = 1;
           m.mean = scaler_->MeanOf(entry.first);
           m.sd = scaler_->StdDevOf(entry.first);
+          memo.filled.push_back(entry.first);
         }
         const double centered = entry.second - m.mean;
         entry.second = m.sd > kMinStdDev ? centered / m.sd : centered;
@@ -86,9 +79,10 @@ class ScaleVecStage final : public fusion::FusedStage {
   bool with_mean_;
 };
 
-/// Fused table-mode kernel.  (mean, σ) per configured column are
-/// snapshotted at plan-compile time — valid for the plan's lifetime by the
-/// same invalidation argument as above.  Division stays per-cell and dead
+/// Table-mode kernel.  (mean, σ) per configured column are snapshotted
+/// when the stage is built — valid for the plan's lifetime by the same
+/// invalidation argument as above.  Integer columns widen to double first
+/// (scaled cells are fractional).  Division stays per-cell and dead
 /// (filtered) rows are scaled harmlessly: their cells are never read.
 class ScaleTableStage final : public fusion::FusedStage {
  public:
@@ -144,51 +138,41 @@ class ScaleTableStage final : public fusion::FusedStage {
 StandardScaler::StandardScaler(Options options)
     : options_(std::move(options)) {}
 
-Status StandardScaler::Update(const DataBatch& batch) {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    total_rows_ += static_cast<int64_t>(features->num_rows());
-    for (const SparseVector& x : features->features) {
-      const auto& idx = x.indices();
-      const auto& val = x.values();
-      for (size_t k = 0; k < idx.size(); ++k) {
-        if (std::isnan(val[k])) continue;  // imputation happens upstream
-        Moments& m = stats_[idx[k]];
-        m.sum += val[k];
-        m.sum_squares += val[k] * val[k];
-      }
+Status StandardScaler::Update(const fusion::UpdateBlock& block) {
+  using Repr = fusion::PlanBuilder::Repr;
+  if (block.plan.repr() == Repr::kVec) {
+    total_rows_ += static_cast<int64_t>(block.vec.num_rows());
+    for (const auto& [index, value] : block.vec.entries) {
+      if (std::isnan(value)) continue;  // imputation happens upstream
+      Moments& m = stats_[index];
+      m.sum += value;
+      m.sum_squares += value * value;
     }
     return Status::OK();
   }
-  const auto& table = std::get<TableData>(batch);
+  if (block.plan.repr() != Repr::kTable) {
+    return Status::FailedPrecondition(
+        "scaler expects a table or vectorized block");
+  }
+  const fusion::TableBlock& table = block.table;
   table_mode_seen_ = true;
-  total_rows_ += static_cast<int64_t>(table.num_rows());
+  total_rows_ += static_cast<int64_t>(table.live_rows);
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table.schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table.column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot,
+                            block.plan.SlotOf(options_.columns[c]));
+    const fusion::BlockColumn& col = table.cols[slot];
+    if (!col.is_numeric()) {
       return Status::FailedPrecondition("cannot scale non-numeric column " +
                                         options_.columns[c]);
     }
     Moments& m = stats_[static_cast<uint32_t>(c)];
     int64_t& count = column_counts_[static_cast<uint32_t>(c)];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) {
-        const double d = (*view)[r];
-        m.sum += d;
-        m.sum_squares += d * d;
-      }
-      count += static_cast<int64_t>(rows);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        const double d = (*view)[r];
-        m.sum += d;
-        m.sum_squares += d * d;
-        ++count;
-      }
+    for (size_t r = 0; r < table.num_rows; ++r) {
+      if (table.keep[r] == 0 || col.IsNull(r)) continue;
+      const double d = col.NumericAt(r);
+      m.sum += d;
+      m.sum_squares += d * d;
+      ++count;
     }
   }
   return Status::OK();
@@ -225,34 +209,13 @@ double StandardScaler::StdDevOf(uint32_t key) const {
   return std::sqrt(VarianceOf(key));
 }
 
-Result<DataBatch> StandardScaler::Transform(const DataBatch& batch) const {
-  if (const auto* features = std::get_if<FeatureData>(&batch)) {
-    FeatureData out = *features;
-    ScaleFeatures(&out);
-    return DataBatch(std::move(out));
-  }
-  TableData out = std::get<TableData>(batch);
-  CDPIPE_RETURN_NOT_OK(ScaleTable(&out));
-  return DataBatch(std::move(out));
-}
-
-Result<DataBatch> StandardScaler::TransformOwned(DataBatch&& batch) const {
-  if (auto* features = std::get_if<FeatureData>(&batch)) {
-    ScaleFeatures(features);
-    return std::move(batch);
-  }
-  CDPIPE_RETURN_NOT_OK(ScaleTable(&std::get<TableData>(batch)));
-  return std::move(batch);
-}
-
 Status StandardScaler::Fuse(fusion::PlanBuilder* plan) const {
   using Repr = fusion::PlanBuilder::Repr;
   // With no moments accumulated yet, MeanOf/StdDevOf return 0.0 for every
   // key: centered = x - 0.0 ≡ x bitwise (including -0.0 and NaN) and σ=0
   // skips the division, so the whole stage is an identity and is elided.
-  // (In table mode the interpreted path still widens integer columns to
-  // double; downstream fused stages read cells numerically, so the final
-  // feature output is unaffected.)
+  // (Integer table columns then keep their type; downstream stages read
+  // cells numerically, so the feature output is unaffected.)
   if (plan->repr() == Repr::kVec) {
     if (stats_.empty()) {
       plan->AddElidedStage("standard_scaler");
@@ -272,8 +235,6 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) const {
   std::vector<ScaleTableStage::ColScale> cols;
   cols.reserve(options_.columns.size());
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or non-numeric columns decline fusion; the interpreted path
-    // owns reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot scale non-numeric column " +
@@ -283,81 +244,6 @@ Status StandardScaler::Fuse(fusion::PlanBuilder* plan) const {
     cols.push_back(ScaleTableStage::ColScale{slot, MeanOf(key), StdDevOf(key)});
   }
   plan->AddStage(std::make_unique<ScaleTableStage>(std::move(cols)));
-  return Status::OK();
-}
-
-void StandardScaler::ScaleFeatures(FeatureData* features) const {
-  const uint32_t dim = features->dim;
-  size_t total_nnz = 0;
-  for (const SparseVector& x : features->features) total_nnz += x.nnz();
-  // Per-batch memo of (mean, stddev) per feature index: indices repeat
-  // heavily across rows, and the per-value map lookups plus sqrt dominate
-  // the scaling cost.  The per-value arithmetic is unchanged, so outputs
-  // are bit-identical to the unmemoized path.
-  if (dim <= (1u << 20) && total_nnz >= dim / 16) {
-    std::vector<uint8_t> seen(dim, 0);
-    std::unique_ptr<double[]> mean(new double[dim]);
-    std::unique_ptr<double[]> sd(new double[dim]);
-    for (SparseVector& x : features->features) {
-      x.TransformValues([&](uint32_t index, double value) {
-        if (!seen[index]) {
-          seen[index] = 1;
-          mean[index] = options_.with_mean ? MeanOf(index) : 0.0;
-          sd[index] = StdDevOf(index);
-        }
-        const double centered =
-            options_.with_mean ? value - mean[index] : value;
-        return sd[index] > kMinStdDev ? centered / sd[index] : centered;
-      });
-    }
-    return;
-  }
-  for (SparseVector& x : features->features) {
-    x.TransformValues([this](uint32_t index, double value) {
-      const double sd = StdDevOf(index);
-      const double centered = options_.with_mean ? value - MeanOf(index) : value;
-      return sd > kMinStdDev ? centered / sd : centered;
-    });
-  }
-}
-
-Status StandardScaler::ScaleTable(TableData* table) const {
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    const uint32_t key = static_cast<uint32_t>(c);
-    const double mean = MeanOf(key);
-    const double sd = StdDevOf(key);
-    // Scaled cells are fractional, so integer columns widen to double —
-    // the same static_cast the row path applied through Value::AsDouble.
-    if (table->column(col).type() != ValueType::kDouble) {
-      CDPIPE_RETURN_NOT_OK(table->PromoteColumnToDouble(col));
-    }
-    Column& column = table->mutable_column(col);
-    std::vector<double>& cells = column.mutable_doubles();
-    const size_t rows = cells.size();
-    // Division is kept per-cell ((d - mean) / sd, not a precomputed
-    // reciprocal) so results are bit-identical to the row path.
-    if (sd > kMinStdDev) {
-      if (!column.has_nulls()) {
-        for (size_t r = 0; r < rows; ++r) cells[r] = (cells[r] - mean) / sd;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          if (column.IsNull(r)) continue;
-          cells[r] = (cells[r] - mean) / sd;
-        }
-      }
-    } else {
-      if (!column.has_nulls()) {
-        for (size_t r = 0; r < rows; ++r) cells[r] = cells[r] - mean;
-      } else {
-        for (size_t r = 0; r < rows; ++r) {
-          if (column.IsNull(r)) continue;
-          cells[r] = cells[r] - mean;
-        }
-      }
-    }
-  }
   return Status::OK();
 }
 

@@ -14,7 +14,7 @@ namespace cdpipe {
 /// deviation — the paper's canonical example of online statistics
 /// computation (§3.1).
 ///
-/// Two operating modes, chosen by the batch representation:
+/// Two operating modes, chosen by the block representation:
 ///
 ///  - **Feature mode** (sparse vectors): per-dimension moments are
 ///    accumulated counting implicit zeros (sum and sum-of-squares over
@@ -36,7 +36,6 @@ class StandardScaler : public PipelineComponent {
   };
 
   /// Dimensions with σ below this pass through undivided (see class doc).
-  /// Public so the fused block kernel applies the exact same comparison.
   static constexpr double kMinStdDev = 1e-12;
 
   StandardScaler() : StandardScaler(Options()) {}
@@ -48,9 +47,7 @@ class StandardScaler : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
+  Status Update(const fusion::UpdateBlock& block) override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
@@ -71,11 +68,6 @@ class StandardScaler : public PipelineComponent {
   };
 
   double VarianceOf(uint32_t key) const;
-
-  /// Shared kernel for Transform/TransformOwned: scales the configured
-  /// columns of `*table` in place, widening integer columns to double first.
-  Status ScaleTable(TableData* table) const;
-  void ScaleFeatures(FeatureData* features) const;
 
   Options options_;
   /// Total rows seen (feature mode denominators include implicit zeros;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/status.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
@@ -13,7 +12,8 @@ namespace {
 constexpr double kEarthRadiusKm = 6371.0;
 constexpr double kDegToRad = M_PI / 180.0;
 
-/// Fused kernel: marks null-endpoint rows dead on the shared keep mask and
+/// Extractor kernel: marks null-endpoint rows dead on the shared keep mask
+/// (a trip without both endpoints cannot yield features or a label) and
 /// fills the eight derived slots.  Derived values are computed for every
 /// physical row (dead rows carry parse placeholders, and DeriveTaxiRow is
 /// total over them) — only live rows are ever read downstream, so this
@@ -43,9 +43,8 @@ class ExtractTaxiStage final : public fusion::FusedStage {
     }
     const fusion::BlockColumn& pu_col = table.cols[slots_.pickup_dt];
     const fusion::BlockColumn& doff_col = table.cols[slots_.dropoff_dt];
-    // Mirror the interpreted type guard: a runtime promotion (e.g. an
-    // imputer widening the datetime column) invalidates the integer
-    // arithmetic below.
+    // A runtime promotion (e.g. an imputer widening the datetime column)
+    // invalidates the integer arithmetic below.
     if (pu_col.type == ValueType::kDouble ||
         doff_col.type == ValueType::kDouble ||
         pu_col.type == ValueType::kString ||
@@ -153,134 +152,6 @@ TaxiDerivedRow DeriveTaxiRow(int64_t pickup_seconds, int64_t dropoff_seconds,
 TaxiFeatureExtractor::TaxiFeatureExtractor(Options options)
     : options_(std::move(options)) {}
 
-Result<DataBatch> TaxiFeatureExtractor::Transform(
-    const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "taxi_feature_extractor expects a table batch");
-  }
-  const Schema& schema = *table->schema();
-  CDPIPE_ASSIGN_OR_RETURN(size_t pickup_dt,
-                          schema.FieldIndex(options_.pickup_datetime_column));
-  CDPIPE_ASSIGN_OR_RETURN(size_t dropoff_dt,
-                          schema.FieldIndex(options_.dropoff_datetime_column));
-  CDPIPE_ASSIGN_OR_RETURN(size_t plat,
-                          schema.FieldIndex(options_.pickup_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(size_t plon,
-                          schema.FieldIndex(options_.pickup_lon_column));
-  CDPIPE_ASSIGN_OR_RETURN(size_t dlat,
-                          schema.FieldIndex(options_.dropoff_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(size_t dlon,
-                          schema.FieldIndex(options_.dropoff_lon_column));
-
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema1,
-      table->schema()->AddField(Field{"duration_s", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema2, schema1->AddField(Field{"haversine_km", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema3, schema2->AddField(Field{"bearing", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema4, schema3->AddField(Field{"hour_of_day", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema4a, schema4->AddField(Field{"hour_sin", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema4b, schema4a->AddField(Field{"hour_cos", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto schema5,
-      schema4b->AddField(Field{"day_of_week", ValueType::kDouble}));
-  CDPIPE_ASSIGN_OR_RETURN(
-      auto out_schema,
-      schema5->AddField(Field{"log_duration", ValueType::kDouble}));
-
-  const size_t num_rows = table->num_rows();
-  const Column& pu_col = table->column(pickup_dt);
-  const Column& doff_col = table->column(dropoff_dt);
-  if (pu_col.type() == ValueType::kDouble ||
-      doff_col.type() == ValueType::kDouble ||
-      pu_col.type() == ValueType::kString ||
-      doff_col.type() == ValueType::kString) {
-    return Status::FailedPrecondition(
-        "taxi_feature_extractor expects integer datetime columns");
-  }
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView plat_v,
-      NumericColumnView::Of(table->column(plat), options_.pickup_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView plon_v,
-      NumericColumnView::Of(table->column(plon), options_.pickup_lon_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView dlat_v,
-      NumericColumnView::Of(table->column(dlat), options_.dropoff_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView dlon_v,
-      NumericColumnView::Of(table->column(dlon), options_.dropoff_lon_column));
-
-  // A trip without both endpoints cannot yield features or a label; the
-  // anomaly filter downstream would drop it anyway.
-  std::vector<uint8_t> keep(num_rows, 1);
-  size_t kept = num_rows;
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (pu_col.IsNull(r) || doff_col.IsNull(r) || plat_v.IsNull(r) ||
-        plon_v.IsNull(r) || dlat_v.IsNull(r) || dlon_v.IsNull(r)) {
-      keep[r] = 0;
-      --kept;
-    }
-  }
-
-  TableData base = kept == num_rows ? *table : table->Filter(keep);
-
-  // Derived columns, computed in one fused pass over the filtered typed
-  // arrays (the arithmetic matches the row path expression for expression).
-  const std::vector<int64_t>& pu = base.column(pickup_dt).ints();
-  const std::vector<int64_t>& doff = base.column(dropoff_dt).ints();
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView lat1_v,
-      NumericColumnView::Of(base.column(plat), options_.pickup_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView lon1_v,
-      NumericColumnView::Of(base.column(plon), options_.pickup_lon_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView lat2_v,
-      NumericColumnView::Of(base.column(dlat), options_.dropoff_lat_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView lon2_v,
-      NumericColumnView::Of(base.column(dlon), options_.dropoff_lon_column));
-
-  std::vector<double> duration_c(kept), distance_c(kept), bearing_c(kept),
-      hour_c(kept), hour_sin_c(kept), hour_cos_c(kept), weekday_c(kept),
-      log_duration_c(kept);
-  for (size_t r = 0; r < kept; ++r) {
-    const TaxiDerivedRow row = DeriveTaxiRow(pu[r], doff[r], lat1_v[r],
-                                             lon1_v[r], lat2_v[r], lon2_v[r]);
-    duration_c[r] = row.duration_s;
-    distance_c[r] = row.haversine_km;
-    bearing_c[r] = row.bearing;
-    hour_c[r] = row.hour_of_day;
-    hour_sin_c[r] = row.hour_sin;
-    hour_cos_c[r] = row.hour_cos;
-    weekday_c[r] = row.day_of_week;
-    log_duration_c[r] = row.log_duration;
-  }
-
-  std::vector<Column> out_columns;
-  out_columns.reserve(base.num_columns() + 8);
-  for (size_t c = 0; c < base.num_columns(); ++c) {
-    out_columns.push_back(std::move(base.mutable_column(c)));
-  }
-  for (std::vector<double>* cells :
-       {&duration_c, &distance_c, &bearing_c, &hour_c, &hour_sin_c,
-        &hour_cos_c, &weekday_c, &log_duration_c}) {
-    Column column(ValueType::kDouble);
-    for (double v : *cells) column.AppendDouble(v);
-    out_columns.push_back(std::move(column));
-  }
-  CDPIPE_ASSIGN_OR_RETURN(
-      TableData out, TableData::Make(out_schema, std::move(out_columns)));
-  return DataBatch(std::move(out));
-}
-
 Status TaxiFeatureExtractor::Fuse(fusion::PlanBuilder* plan) const {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition(
@@ -305,8 +176,6 @@ Status TaxiFeatureExtractor::Fuse(fusion::PlanBuilder* plan) const {
     }
   }
   for (size_t coord : {slots.plat, slots.plon, slots.dlat, slots.dlon}) {
-    // String coordinates decline fusion; the interpreted path owns
-    // reporting the column-view error with full pipeline context.
     if (plan->SlotDeclaredType(coord) == ValueType::kString) {
       return Status::FailedPrecondition(
           "taxi_feature_extractor expects numeric coordinate columns");

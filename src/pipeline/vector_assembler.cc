@@ -4,18 +4,18 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused vectorizing kernel: walks the table block's live rows in ascending
-/// order (the order a materialized Filter() would have produced) and packs
-/// the configured columns into the vector block.  Entry indices ascend by
-/// construction — feature columns emit in configured order, the intercept
-/// last — so the VecBlock collapsed-row invariant holds without sorting.
+/// Vectorizing kernel: walks the table block's live rows in ascending order
+/// and packs the configured columns into the vector block (null cells count
+/// as 0 — impute upstream; a null label is an error).  Entry indices ascend
+/// by construction — feature columns emit in configured order, the
+/// intercept last — so the VecBlock collapsed-row invariant holds without
+/// sorting.
 class AssembleVecStage final : public fusion::FusedStage {
  public:
   AssembleVecStage(std::vector<size_t> feature_slots, size_t label_slot,
@@ -85,55 +85,6 @@ VectorAssembler::VectorAssembler(Options options)
   CDPIPE_CHECK(!options_.label_column.empty());
 }
 
-Result<DataBatch> VectorAssembler::Transform(const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "vector_assembler expects a table batch");
-  }
-  std::vector<NumericColumnView> views;
-  views.reserve(options_.feature_columns.size());
-  for (size_t i = 0; i < options_.feature_columns.size(); ++i) {
-    CDPIPE_ASSIGN_OR_RETURN(
-        size_t idx, table->schema()->FieldIndex(options_.feature_columns[i]));
-    CDPIPE_ASSIGN_OR_RETURN(NumericColumnView view,
-                            NumericColumnView::Of(table->column(idx),
-                                                  options_.feature_columns[i]));
-    views.push_back(view);
-  }
-  CDPIPE_ASSIGN_OR_RETURN(size_t label_idx,
-                          table->schema()->FieldIndex(options_.label_column));
-  CDPIPE_ASSIGN_OR_RETURN(
-      NumericColumnView labels,
-      NumericColumnView::Of(table->column(label_idx), options_.label_column));
-
-  const size_t num_rows = table->num_rows();
-  FeatureData out;
-  out.dim = output_dim();
-  out.features.reserve(num_rows);
-  out.labels.reserve(num_rows);
-  const size_t num_cols = views.size();
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (labels.IsNull(r)) {
-      return Status::FailedPrecondition("cannot widen null to double: " +
-                                        options_.label_column);
-    }
-    SparseVector x(out.dim);
-    x.Reserve(num_cols + (options_.add_intercept ? 1 : 0));
-    for (size_t i = 0; i < num_cols; ++i) {
-      if (views[i].IsNull(r)) continue;  // null => 0 (impute upstream)
-      const double d = views[i][r];
-      if (d != 0.0) x.PushBack(static_cast<uint32_t>(i), d);
-    }
-    if (options_.add_intercept) {
-      x.PushBack(static_cast<uint32_t>(num_cols), 1.0);
-    }
-    out.features.push_back(std::move(x));
-    out.labels.push_back(labels[r]);
-  }
-  return DataBatch(std::move(out));
-}
-
 Status VectorAssembler::Fuse(fusion::PlanBuilder* plan) const {
   if (plan->repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition("vector_assembler expects a table batch");
@@ -141,8 +92,6 @@ Status VectorAssembler::Fuse(fusion::PlanBuilder* plan) const {
   std::vector<size_t> feature_slots;
   feature_slots.reserve(options_.feature_columns.size());
   for (const std::string& column : options_.feature_columns) {
-    // Unknown or string columns decline fusion; the interpreted path owns
-    // reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(column));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition("cannot assemble non-numeric column " +

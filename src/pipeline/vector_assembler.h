@@ -29,7 +29,6 @@ class VectorAssembler : public PipelineComponent {
     return ComponentKind::kFeatureSelection;
   }
 
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;
 

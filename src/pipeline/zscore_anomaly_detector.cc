@@ -5,18 +5,18 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
-#include "src/dataframe/column_ops.h"
 #include "src/pipeline/fusion/fusion.h"
 
 namespace cdpipe {
 
 namespace {
 
-/// Fused kernel.  The per-column mean and |x - mean| limit are snapshotted
-/// at plan-compile time: any statistics change bumps the pipeline state
-/// version, which invalidates the plan, so the snapshot is exactly what the
-/// interpreted KeepMask would have computed.  Uncalibrated and constant
-/// columns are dropped from the snapshot at compile (they never vote).
+/// Detector kernel.  The per-column mean and |x - mean| limit are
+/// snapshotted when the stage is built: any statistics change bumps the
+/// pipeline state version, which invalidates the plan, so the snapshot
+/// always matches the statistics.  Uncalibrated and constant columns are
+/// left out of the snapshot (they never vote); a row survives when no
+/// column flags it, and null cells never vote to drop.
 class ZScoreTableStage final : public fusion::FusedStage {
  public:
   struct ColLimit {
@@ -64,68 +64,28 @@ ZScoreAnomalyDetector::ZScoreAnomalyDetector(Options options)
   CDPIPE_CHECK_GT(options_.threshold, 0.0);
 }
 
-Status ZScoreAnomalyDetector::Update(const DataBatch& batch) {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
+Status ZScoreAnomalyDetector::Update(const fusion::UpdateBlock& block) {
+  if (block.plan.repr() != fusion::PlanBuilder::Repr::kTable) {
     return Status::FailedPrecondition(
         "zscore_anomaly_detector expects a table batch");
   }
+  const fusion::TableBlock& table = block.table;
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(size_t col,
-                            table->schema()->FieldIndex(options_.columns[c]));
-    const Column& column = table->column(col);
-    Result<NumericColumnView> view = NumericColumnView::Of(column, "");
-    if (!view.ok()) {
+    CDPIPE_ASSIGN_OR_RETURN(size_t slot,
+                            block.plan.SlotOf(options_.columns[c]));
+    const fusion::BlockColumn& col = table.cols[slot];
+    if (!col.is_numeric()) {
       return Status::FailedPrecondition(
           "cannot compute z-scores for non-numeric column " +
           options_.columns[c]);
     }
     Welford& w = stats_[c];
-    const size_t rows = column.size();
-    if (!column.has_nulls()) {
-      for (size_t r = 0; r < rows; ++r) w.Add((*view)[r]);
-    } else {
-      for (size_t r = 0; r < rows; ++r) {
-        if (view->IsNull(r)) continue;
-        w.Add((*view)[r]);
-      }
+    for (size_t r = 0; r < table.num_rows; ++r) {
+      if (table.keep[r] == 0 || col.IsNull(r)) continue;
+      w.Add(col.NumericAt(r));
     }
   }
   return Status::OK();
-}
-
-Result<DataBatch> ZScoreAnomalyDetector::Transform(
-    const DataBatch& batch) const {
-  const auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "zscore_anomaly_detector expects a table batch");
-  }
-  CDPIPE_ASSIGN_OR_RETURN(std::vector<uint8_t> keep, KeepMask(*table));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  dropped_.fetch_add(table->num_rows() - kept, std::memory_order_relaxed);
-  if (kept == table->num_rows()) {
-    return DataBatch(*table);
-  }
-  return DataBatch(table->Filter(keep));
-}
-
-Result<DataBatch> ZScoreAnomalyDetector::TransformOwned(
-    DataBatch&& batch) const {
-  auto* table = std::get_if<TableData>(&batch);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "zscore_anomaly_detector expects a table batch");
-  }
-  CDPIPE_ASSIGN_OR_RETURN(std::vector<uint8_t> keep, KeepMask(*table));
-  size_t kept = 0;
-  for (uint8_t k : keep) kept += k != 0;
-  dropped_.fetch_add(table->num_rows() - kept, std::memory_order_relaxed);
-  if (kept == table->num_rows()) {
-    return std::move(batch);
-  }
-  return DataBatch(table->Filter(keep));
 }
 
 Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) const {
@@ -135,8 +95,6 @@ Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) const {
   }
   std::vector<ZScoreTableStage::ColLimit> cols;
   for (size_t c = 0; c < options_.columns.size(); ++c) {
-    // Unknown or string columns decline fusion; the interpreted path owns
-    // reporting those errors with full pipeline context.
     CDPIPE_ASSIGN_OR_RETURN(size_t slot, plan->SlotOf(options_.columns[c]));
     if (plan->SlotDeclaredType(slot) == ValueType::kString) {
       return Status::FailedPrecondition(
@@ -157,35 +115,6 @@ Status ZScoreAnomalyDetector::Fuse(fusion::PlanBuilder* plan) const {
   }
   plan->AddStage(std::make_unique<ZScoreTableStage>(this, std::move(cols)));
   return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ZScoreAnomalyDetector::KeepMask(
-    const TableData& table) const {
-  std::vector<size_t> column_indices(options_.columns.size());
-  for (size_t c = 0; c < options_.columns.size(); ++c) {
-    CDPIPE_ASSIGN_OR_RETURN(
-        column_indices[c], table.schema()->FieldIndex(options_.columns[c]));
-  }
-  // Column-major anomaly mask: each calibrated column flags its outliers
-  // over the contiguous cells; a row survives when no column flagged it.
-  const size_t num_rows = table.num_rows();
-  std::vector<uint8_t> keep(num_rows, 1);
-  for (size_t c = 0; c < column_indices.size(); ++c) {
-    const Welford& w = stats_[c];
-    if (w.count < options_.min_observations) continue;  // not calibrated
-    const Column& column = table.column(column_indices[c]);
-    CDPIPE_ASSIGN_OR_RETURN(
-        NumericColumnView view,
-        NumericColumnView::Of(column, options_.columns[c]));
-    const double sd = std::sqrt(w.Variance());
-    if (sd <= 0.0) continue;  // constant column: nothing is anomalous
-    const double limit = options_.threshold * sd;
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (view.IsNull(r)) continue;
-      if (std::abs(view[r] - w.mean) > limit) keep[r] = 0;
-    }
-  }
-  return keep;
 }
 
 void ZScoreAnomalyDetector::Reset() {

@@ -38,9 +38,7 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
 
-  Status Update(const DataBatch& batch) override;
-  Result<DataBatch> Transform(const DataBatch& batch) const override;
-  Result<DataBatch> TransformOwned(DataBatch&& batch) const override;
+  Status Update(const fusion::UpdateBlock& block) override;
   Status Fuse(fusion::PlanBuilder* plan) const override;
   void Reset() override;
   std::unique_ptr<PipelineComponent> Clone() const override;
@@ -56,8 +54,8 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   size_t num_dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  /// Adds to the dropped-row counter.  Fused kernels report their drops
-  /// here so the counter stays in step with the interpreted path.
+  /// Adds to the dropped-row counter (the detector stage reports its drops
+  /// here).
   void RecordDropped(size_t n) const {
     dropped_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -78,10 +76,6 @@ class ZScoreAnomalyDetector : public PipelineComponent {
       return count > 1 ? m2 / static_cast<double>(count) : 0.0;
     }
   };
-
-  /// Column-major outlier mask (1 = keep); shared by Transform and
-  /// TransformOwned.
-  Result<std::vector<uint8_t>> KeepMask(const TableData& table) const;
 
   Options options_;
   std::vector<Welford> stats_;  ///< parallel to options_.columns

@@ -6,6 +6,8 @@
 
 #include "src/common/string_util.h"
 #include "src/pipeline/input_parser.h"
+#include "tests/testing/block_runner.h"
+#include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
 namespace {
@@ -37,7 +39,8 @@ TEST(TaxiStreamTest, RecordsParseAgainstRawSchema) {
   options.csv_schema = TaxiRawSchema();
   options.strict = true;
   InputParser parser(options);
-  auto result = parser.Transform(Pipeline::WrapRaw(chunk));
+  auto result =
+      testing::RunTransform(parser, testing::OwnedRawTable(chunk.records));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& table = std::get<TableData>(*result);
   ASSERT_EQ(table.num_rows(), 100u);

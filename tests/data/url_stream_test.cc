@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "src/pipeline/input_parser.h"
+#include "tests/testing/block_runner.h"
+#include "tests/testing/table_test_util.h"
 #include "src/pipeline/pipeline.h"
 
 namespace cdpipe {
@@ -40,8 +42,8 @@ TEST(UrlStreamTest, RecordsParseAsLibSvm) {
   options.feature_dim = SmallConfig().feature_dim;
   options.strict = true;  // every generated record must parse
   InputParser parser(options);
-  RawChunk wrapped = chunk;
-  auto result = parser.Transform(Pipeline::WrapRaw(wrapped));
+  auto result =
+      testing::RunTransform(parser, testing::OwnedRawTable(chunk.records));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& features = std::get<FeatureData>(*result);
   EXPECT_EQ(features.num_rows(), 50u);

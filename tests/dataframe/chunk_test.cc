@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/table_data.h"
+
 namespace cdpipe {
 namespace {
 
@@ -101,22 +103,6 @@ TEST(FeatureDataTest, ValidateCatchesDimMismatch) {
   data.features.push_back(SparseVector::FromUnsorted(5, {{1, 1.0}}));
   data.labels.push_back(1.0);
   EXPECT_FALSE(data.Validate().ok());
-}
-
-TEST(BatchHelpersTest, NumRowsAndBytes) {
-  DataBatch table_batch = MakeTable();
-  EXPECT_EQ(BatchNumRows(table_batch), 2u);
-  EXPECT_EQ(BatchByteSize(table_batch),
-            std::get<TableData>(table_batch).ByteSize());
-
-  FeatureData features;
-  features.dim = 3;
-  features.features.push_back(SparseVector::FromUnsorted(3, {{0, 1.0}}));
-  features.labels.push_back(-1.0);
-  DataBatch feature_batch = std::move(features);
-  EXPECT_EQ(BatchNumRows(feature_batch), 1u);
-  EXPECT_EQ(BatchByteSize(feature_batch),
-            sizeof(double) + sizeof(uint32_t) + sizeof(double));
 }
 
 TEST(RawChunkTest, ByteSizeSumsRecords) {

@@ -8,12 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
+
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
 #include "src/io/serialization.h"
 #include "src/ml/prequential.h"
 #include "src/pipeline/one_hot_encoder.h"
-
 namespace cdpipe {
 namespace {
 
@@ -208,7 +209,7 @@ TEST(OneHotCheckpointTest, DictionaryRoundTrip) {
     ASSERT_TRUE(
         table.AppendRow({Value::String(color), Value::Double(1.0)}).ok());
   }
-  ASSERT_TRUE(encoder.Update(DataBatch(table)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, table).ok());
 
   std::ostringstream os;
   Serializer out(&os);
@@ -220,8 +221,8 @@ TEST(OneHotCheckpointTest, DictionaryRoundTrip) {
   ASSERT_TRUE(restored.LoadState(&in).ok());
   EXPECT_EQ(restored.CardinalityOf(0), 3u);
 
-  auto a = encoder.Transform(DataBatch(table));
-  auto b = restored.Transform(DataBatch(table));
+  auto a = testing::RunTransform(encoder, table);
+  auto b = testing::RunTransform(restored, table);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t r = 0; r < 3; ++r) {

@@ -162,6 +162,32 @@ TEST_F(ObsServerTest, RoutesEventsWithCountParameter) {
   EXPECT_NE(two.find("\"entity\":4"), std::string::npos);
 }
 
+TEST_F(ObsServerTest, MalformedEventCountFallsBackToDefault) {
+  for (int i = 0; i < 5; ++i) {
+    journal_.Append(EventKind::kIngest, CorrelationId{1, i}, "e2e");
+  }
+  options_.default_events = 2;
+  ObsServer server(options_);
+  auto events = [&](const std::string& query) {
+    return server.HandleRequest("GET /events?" + query +
+                                " HTTP/1.0\r\n\r\n");
+  };
+  // A well-formed count is honored...
+  const std::string three = events("n=3");
+  EXPECT_NE(three.find("\"entity\":2"), std::string::npos) << three;
+  EXPECT_EQ(three.find("\"entity\":1"), std::string::npos) << three;
+  // ...and every malformed one falls back to the default (the newest two):
+  // trailing garbage, sign, empty, zero, and overflow.
+  for (const char* query : {"n=5x", "n=-3", "n=+3", "n=", "n=0",
+                            "n=99999999999999999999999", "x=1&n=3.5"}) {
+    SCOPED_TRACE(query);
+    const std::string body = events(query);
+    EXPECT_EQ(body.find("\"entity\":2"), std::string::npos) << body;
+    EXPECT_NE(body.find("\"entity\":3"), std::string::npos) << body;
+    EXPECT_NE(body.find("\"entity\":4"), std::string::npos) << body;
+  }
+}
+
 TEST_F(ObsServerTest, RejectsUnknownPathAndMethod) {
   ObsServer server(options_);
   EXPECT_NE(server.HandleRequest("GET /nope HTTP/1.0\r\n\r\n")

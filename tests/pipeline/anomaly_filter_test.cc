@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -17,7 +18,7 @@ TableData MakeTable(std::vector<double> values) {
 
 TEST(AnomalyFilterTest, KeepInRangeFilters) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
-  auto result = filter->Transform(DataBatch(MakeTable({-1, 0, 5, 10, 11})));
+  auto result = testing::RunTransform(*filter, MakeTable({-1, 0, 5, 10, 11}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   ASSERT_EQ(out.num_rows(), 3u);
@@ -30,59 +31,52 @@ TEST(AnomalyFilterTest, NullCellsDroppedByRangeFilter) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 10.0);
   TableData table = MakeTable({5});
   ASSERT_TRUE(table.AppendRow({Value::Null()}).ok());
-  auto result = filter->Transform(DataBatch(table));
+  auto result = testing::RunTransform(*filter, table);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
 }
 
-TEST(AnomalyFilterTest, CustomPredicate) {
-  AnomalyFilter filter(
-      "odd-only",
-      [](const TableData& table, std::vector<uint8_t>* keep) -> Status {
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          const double v = table.column(0).doubles()[r];
-          (*keep)[r] = static_cast<int64_t>(v) % 2 == 1;
-        }
-        return Status::OK();
-      });
-  auto result = filter.Transform(DataBatch(MakeTable({1, 2, 3, 4, 5})));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(std::get<TableData>(*result).num_rows(), 3u);
-  EXPECT_EQ(filter.name(), "anomaly_filter(odd-only)");
-}
-
 TEST(AnomalyFilterTest, PredicateErrorPropagates) {
-  AnomalyFilter filter(
-      "boom", [](const TableData&, std::vector<uint8_t>*) -> Status {
-        return Status::Internal("boom");
-      });
-  EXPECT_FALSE(filter.Transform(DataBatch(MakeTable({1}))).ok());
+  // A rule over a string column cannot be evaluated: the error reaches the
+  // caller instead of silently keeping or dropping rows.
+  auto schema = std::move(Schema::Make({Field{"v", ValueType::kDouble},
+                                        Field{"s", ValueType::kString}}))
+                    .ValueOrDie();
+  TableData table = testing::TableFromRows(
+      schema, {{Value::Double(1.0), Value::String("x")}});
+  AnomalyFilter filter("s in range",
+                       std::vector<AnomalyFilter::Rule>{{"s", 0.0, 1.0}});
+  auto result = testing::RunTransform(filter, table);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("non-numeric column s"),
+            std::string::npos);
 }
 
 TEST(AnomalyFilterTest, MissingColumnErrors) {
   auto filter = AnomalyFilter::KeepInRange("zzz", 0.0, 1.0);
-  EXPECT_FALSE(filter->Transform(DataBatch(MakeTable({1}))).ok());
+  EXPECT_FALSE(testing::RunTransform(*filter, MakeTable({1})).ok());
 }
 
 TEST(AnomalyFilterTest, RejectsFeatureBatch) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  EXPECT_FALSE(filter->Transform(DataBatch(FeatureData{})).ok());
+  EXPECT_FALSE(testing::RunTransform(*filter, FeatureData{}).ok());
 }
 
 TEST(AnomalyFilterTest, EmptyTablePassesThrough) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  auto result = filter->Transform(DataBatch(MakeTable({})));
+  auto result = testing::RunTransform(*filter, MakeTable({}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 0u);
 }
 
 TEST(AnomalyFilterTest, CloneCarriesPredicateAndCounter) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
-  ASSERT_TRUE(filter->Transform(DataBatch(MakeTable({5}))).ok());
+  ASSERT_TRUE(testing::RunTransform(*filter, MakeTable({5})).ok());
   auto clone = filter->Clone();
   auto* cloned = static_cast<AnomalyFilter*>(clone.get());
   EXPECT_EQ(cloned->num_dropped(), 1u);
-  auto result = cloned->Transform(DataBatch(MakeTable({0.5})));
+  auto result = testing::RunTransform(*cloned, MakeTable({0.5}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -19,7 +20,7 @@ TableData MakeTable() {
 
 TEST(ColumnProjectorTest, SelectsAndReorders) {
   ColumnProjector projector({"c", "a"});
-  auto result = projector.Transform(DataBatch(MakeTable()));
+  auto result = testing::RunTransform(projector, MakeTable());
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   EXPECT_EQ(out.schema()->num_fields(), 2u);
@@ -31,17 +32,17 @@ TEST(ColumnProjectorTest, SelectsAndReorders) {
 
 TEST(ColumnProjectorTest, MissingColumnErrors) {
   ColumnProjector projector({"nope"});
-  EXPECT_FALSE(projector.Transform(DataBatch(MakeTable())).ok());
+  EXPECT_FALSE(testing::RunTransform(projector, MakeTable()).ok());
 }
 
 TEST(ColumnProjectorTest, RejectsFeatureBatch) {
   ColumnProjector projector({"a"});
-  EXPECT_FALSE(projector.Transform(DataBatch(FeatureData{})).ok());
+  EXPECT_FALSE(testing::RunTransform(projector, FeatureData{}).ok());
 }
 
 TEST(ColumnProjectorTest, PreservesRowCount) {
   ColumnProjector projector({"b"});
-  auto result = projector.Transform(DataBatch(MakeTable()));
+  auto result = testing::RunTransform(projector, MakeTable());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 2u);
 }
@@ -51,7 +52,7 @@ TEST(ColumnProjectorTest, ContractAndClone) {
   EXPECT_FALSE(projector.is_stateful());
   EXPECT_EQ(projector.kind(), ComponentKind::kFeatureSelection);
   auto clone = projector.Clone();
-  auto result = clone->Transform(DataBatch(MakeTable()));
+  auto result = testing::RunTransform(*clone, MakeTable());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).schema()->num_fields(), 1u);
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
+
 namespace cdpipe {
 namespace {
 
@@ -66,7 +68,7 @@ TEST(FeatureHasherTest, TransformPreservesValueMagnitude) {
   options.signed_hash = false;
   FeatureHasher hasher(options);
   auto result =
-      hasher.Transform(MakeFeatures({{{123456, 2.5}}}, 1u << 20));
+      testing::RunTransform(hasher, MakeFeatures({{{123456, 2.5}}}, 1u << 20));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   EXPECT_EQ(out.dim, 4096u);
@@ -80,7 +82,8 @@ TEST(FeatureHasherTest, SignedHashAppliesSign) {
   options.bits = 12;
   options.signed_hash = true;
   FeatureHasher hasher(options);
-  auto result = hasher.Transform(MakeFeatures({{{77, 2.0}}}, 1000));
+  auto result =
+      testing::RunTransform(hasher, MakeFeatures({{{77, 2.0}}}, 1000));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   EXPECT_DOUBLE_EQ(out.features[0].values()[0], 2.0 * hasher.SignOf(77));
@@ -91,8 +94,8 @@ TEST(FeatureHasherTest, CollidingIndicesAccumulate) {
   options.bits = 1;  // only 2 buckets: collisions guaranteed
   options.signed_hash = false;
   FeatureHasher hasher(options);
-  auto result = hasher.Transform(
-      MakeFeatures({{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}}}, 100));
+  auto result = testing::RunTransform(
+      hasher, MakeFeatures({{{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}}}, 100));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   double total = 0.0;
@@ -105,7 +108,7 @@ TEST(FeatureHasherTest, LabelsPassThrough) {
   FeatureHasher hasher;
   FeatureData in = MakeFeatures({{{1, 1.0}}, {{2, 1.0}}}, 100);
   in.labels = {1.0, -1.0};
-  auto result = hasher.Transform(DataBatch(std::move(in)));
+  auto result = testing::RunTransform(hasher, std::move(in));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<FeatureData>(*result).labels,
             (std::vector<double>{1.0, -1.0}));
@@ -124,7 +127,7 @@ TEST(FeatureHasherTest, BucketsSpreadAcrossRange) {
 TEST(FeatureHasherTest, RejectsTableBatch) {
   FeatureHasher hasher;
   TableData table(std::move(Schema::Make({})).ValueOrDie());
-  EXPECT_FALSE(hasher.Transform(DataBatch(table)).ok());
+  EXPECT_FALSE(testing::RunTransform(hasher, table).ok());
 }
 
 TEST(FeatureHasherTest, StatelessContract) {

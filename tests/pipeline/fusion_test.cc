@@ -12,24 +12,26 @@
 #include "src/common/logging.h"
 #include "src/data/taxi_stream.h"
 #include "src/data/url_stream.h"
-#include "src/dataframe/column_ops.h"
+#include "src/engine/execution_engine.h"
 #include "src/io/serialization.h"
+#include "src/obs/event_journal.h"
 #include "src/obs/metrics.h"
 #include "src/pipeline/anomaly_filter.h"
 #include "src/pipeline/column_projector.h"
 #include "src/pipeline/input_parser.h"
 #include "src/pipeline/pipeline.h"
+#include "src/pipeline/taxi_feature_extractor.h"
 #include "src/pipeline/vector_assembler.h"
 #include "src/pipeline/zscore_anomaly_detector.h"
+#include "tests/testing/block_runner.h"
+#include "tests/testing/table_test_util.h"
 
-// Unit coverage for the fusion planner itself: plan-cache hit/miss/
-// invalidation accounting, negative caching of unfusable pipelines,
-// compile-time elision, and the cost-accounting / dropped-counter parity
-// between the fused and interpreted execution paths.  Bitwise output
-// equivalence at scale lives in tests/golden/transform_equivalence_test.cc;
-// the CDPIPE_EXEC_MODE override is read once per process, so it is
-// exercised end to end by the CI fault-suite run with the variable set,
-// not here.
+// Unit coverage for the block-kernel execution path itself: plan-cache
+// hit/miss/invalidation accounting, declines surfacing as errors, the
+// online walk bypassing the cache, compile-time elision, and the cost-
+// accounting / dropped-counter contracts of both pipeline entry points
+// against row-at-a-time references.  Bitwise output equivalence at scale
+// lives in tests/golden/transform_equivalence_test.cc.
 
 namespace cdpipe {
 namespace {
@@ -46,12 +48,6 @@ std::unique_ptr<Pipeline> SmallUrlPipeline() {
   config.raw_dim = 1000;
   config.hash_bits = 6;
   return MakeUrlPipeline(config);
-}
-
-Result<FeatureData> TransformWith(Pipeline* pipeline, const RawChunk& chunk,
-                                  ExecMode mode) {
-  return pipeline->Transform(chunk, /*engine=*/nullptr,
-                             /*rows_scanned=*/nullptr, mode);
 }
 
 bool BitEqual(const FeatureData& a, const FeatureData& b) {
@@ -95,6 +91,35 @@ TEST(SchemaFingerprintTest, SensitiveToNameTypeAndOrder) {
   EXPECT_NE(fp, fusion::SchemaFingerprint(*reordered));
 }
 
+TEST(StatsMemoTest, RebindResetsOnlyFilledCells) {
+  fusion::StatsMemo memo;
+  const int owner = 0;
+  memo.BindSd(&owner, /*serial=*/1, /*dim=*/8);
+  ASSERT_EQ(memo.sd.size(), 8u);
+  memo.sd[3] = 2.0;
+  memo.filled.push_back(3);
+  // Same binding: the filled cell survives.
+  memo.BindSd(&owner, 1, 8);
+  EXPECT_EQ(memo.sd[3], 2.0);
+  // A new serial resets exactly the filled cells (and forgets them).
+  const double* storage = memo.sd.data();
+  memo.BindSd(&owner, 2, 8);
+  EXPECT_EQ(memo.sd.data(), storage) << "rebind reallocated the memo";
+  for (double sd : memo.sd) EXPECT_EQ(sd, -1.0);
+  EXPECT_TRUE(memo.filled.empty());
+
+  // The (mean, σ) variant: cells filled under one serial are unseen under
+  // the next, and switching variants leaves no stale cell behind.
+  memo.BindEntries(&owner, 3, 8);
+  memo.entries[5] = fusion::StatsMemo::Entry{1.0, 2.0, 1};
+  memo.filled.push_back(5);
+  memo.sd[5] = 4.0;  // stale σ from a variant switch must not survive
+  memo.BindSd(&owner, 4, 8);
+  EXPECT_EQ(memo.sd[5], -1.0);
+  memo.BindEntries(&owner, 5, 8);
+  EXPECT_EQ(memo.entries[5].seen, 0u);
+}
+
 TEST(PlanCacheTest, MissCompileThenHit) {
   auto pipeline = SmallUrlPipeline();
   RawChunk chunk = MakeChunk(0, {"+1 3:1.0 17:2.0", "-1 5:0.5 7:1.0"});
@@ -102,33 +127,52 @@ TEST(PlanCacheTest, MissCompileThenHit) {
 
   const fusion::PlanCache* cache = pipeline->plan_cache();
   EXPECT_EQ(cache->hits(), 0u);
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
   EXPECT_EQ(cache->misses(), 1u);
   EXPECT_EQ(cache->compiles(), 1u);
 
-  // Unchanged statistics: the second fused call reuses the plan.
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
+  // Unchanged statistics: the second call reuses the plan.
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
   EXPECT_EQ(cache->hits(), 1u);
   EXPECT_EQ(cache->compiles(), 1u);
+}
 
-  // An interpreted call never consults the cache.
-  ASSERT_TRUE(
-      TransformWith(pipeline.get(), chunk, ExecMode::kInterpreted).ok());
-  EXPECT_EQ(cache->hits(), 1u);
-  EXPECT_EQ(cache->misses(), 1u);
+TEST(PlanCacheTest, OnlinePathBypassesPlanCache) {
+  // The online walk builds each chunk's stages itself: no cache lookup, no
+  // compile, no kPlanCompile journal event per chunk.
+  obs::EventJournal& journal = obs::EventJournal::Global();
+  const bool was_enabled = journal.enabled();
+  journal.Enable();
+  journal.Clear();
+  auto pipeline = SmallUrlPipeline();
+  for (ChunkId id = 0; id < 4; ++id) {
+    ASSERT_TRUE(pipeline
+                    ->UpdateAndTransform(
+                        MakeChunk(id, {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0"}))
+                    .ok());
+  }
+  size_t plan_compiles = 0;
+  for (const obs::JournalEvent& event : journal.Tail(journal.capacity())) {
+    if (event.kind == obs::EventKind::kPlanCompile) ++plan_compiles;
+  }
+  if (!was_enabled) journal.Disable();
+  EXPECT_EQ(plan_compiles, 0u);
+  EXPECT_EQ(pipeline->plan_cache()->hits(), 0u);
+  EXPECT_EQ(pipeline->plan_cache()->misses(), 0u);
+  EXPECT_EQ(pipeline->plan_cache()->compiles(), 0u);
 }
 
 TEST(PlanCacheTest, ResetInvalidatesCachedPlan) {
   auto pipeline = SmallUrlPipeline();
   RawChunk chunk = MakeChunk(0, {"+1 3:1.0", "-1 5:2.0"});
   ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
   const uint64_t version_before = pipeline->state_version();
   const uint64_t compiles_before = pipeline->plan_cache()->compiles();
 
   pipeline->Reset();
   EXPECT_GT(pipeline->state_version(), version_before);
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
+  ASSERT_TRUE(pipeline->Transform(chunk).ok());
   EXPECT_GT(pipeline->plan_cache()->compiles(), compiles_before)
       << "stale plan survived Reset";
 }
@@ -142,104 +186,60 @@ TEST(PlanCacheTest, LoadStateInvalidatesCachedPlan) {
   Serializer out(&state);
   ASSERT_TRUE(pipeline->SaveState(&out).ok());
 
-  ASSERT_TRUE(TransformWith(pipeline.get(), chunk, ExecMode::kFused).ok());
+  FeatureData before = std::move(pipeline->Transform(chunk)).ValueOrDie();
   const uint64_t compiles_before = pipeline->plan_cache()->compiles();
 
   // Restoring statistics — even identical ones — must recompile: the plan
   // snapshot cannot be proven equal to the restored state.
   Deserializer in(&state);
   ASSERT_TRUE(pipeline->LoadState(&in).ok());
-  FeatureData fused =
-      std::move(TransformWith(pipeline.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
+  FeatureData restored = std::move(pipeline->Transform(chunk)).ValueOrDie();
   EXPECT_GT(pipeline->plan_cache()->compiles(), compiles_before)
       << "stale plan survived LoadState";
-  FeatureData interpreted =
-      std::move(TransformWith(pipeline.get(), chunk, ExecMode::kInterpreted))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(interpreted, fused));
+  EXPECT_TRUE(BitEqual(before, restored));
 }
 
-TEST(PlanCacheTest, UnfusablePipelineIsNegativeCached) {
-  // A custom-predicate AnomalyFilter cannot contribute a block kernel, so
-  // the whole pipeline must fall back to the interpreted loop — once; the
-  // unfusable verdict is cached, not re-derived per chunk.
+TEST(PlanCacheTest, DeclinedStageIsAnErrorOnEveryCall) {
+  // A configuration no block kernel can express (a range rule over a
+  // string column) fails both entry points with the component's own
+  // message, every call: nothing is cached for it.
   auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
+                                        Field{"tag", ValueType::kString},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();
-  auto make_pipeline = [&](bool custom_predicate) {
-    auto pipeline = std::make_unique<Pipeline>();
-    InputParser::Options parser;
-    parser.format = InputParser::Format::kCsv;
-    parser.csv_schema = schema;
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<InputParser>(parser)).ok());
-    if (custom_predicate) {
-      CDPIPE_CHECK(pipeline
-                       ->AddComponent(std::make_unique<AnomalyFilter>(
-                           "custom", [](const TableData& table,
-                                        std::vector<uint8_t>* keep) -> Status {
-                             CDPIPE_ASSIGN_OR_RETURN(
-                                 size_t x, table.schema()->FieldIndex("x"));
-                             CDPIPE_ASSIGN_OR_RETURN(
-                                 auto view,
-                                 NumericColumnView::Of(table.column(x),
-                                                       "custom filter"));
-                             for (size_t r = 0; r < table.num_rows(); ++r) {
-                               if ((*keep)[r] != 0 && !view.IsNull(r) &&
-                                   view[r] < 0.0) {
-                                 (*keep)[r] = 0;
-                               }
-                             }
-                             return Status::OK();
-                           }))
-                       .ok());
-    } else {
-      std::vector<AnomalyFilter::Rule> rules;
-      AnomalyFilter::Rule rule;
-      rule.column = "x";
-      rule.min = 0.0;
-      rules.push_back(rule);
-      CDPIPE_CHECK(pipeline
-                       ->AddComponent(std::make_unique<AnomalyFilter>(
-                           "custom", std::move(rules)))
-                       .ok());
-    }
-    VectorAssembler::Options assembler;
-    assembler.feature_columns = {"x"};
-    assembler.label_column = "label";
-    CDPIPE_CHECK(
-        pipeline->AddComponent(std::make_unique<VectorAssembler>(assembler))
-            .ok());
-    return pipeline;
-  };
+  auto pipeline = std::make_unique<Pipeline>();
+  InputParser::Options parser;
+  parser.format = InputParser::Format::kCsv;
+  parser.csv_schema = schema;
+  ASSERT_TRUE(
+      pipeline->AddComponent(std::make_unique<InputParser>(parser)).ok());
+  ASSERT_TRUE(pipeline
+                  ->AddComponent(std::make_unique<AnomalyFilter>(
+                      "tag", std::vector<AnomalyFilter::Rule>{{"tag"}}))
+                  .ok());
+  VectorAssembler::Options assembler;
+  assembler.feature_columns = {"x"};
+  assembler.label_column = "label";
+  ASSERT_TRUE(
+      pipeline->AddComponent(std::make_unique<VectorAssembler>(assembler))
+          .ok());
 
-  RawChunk chunk = MakeChunk(0, {"1.5,1.0", "-2.0,0.0", "3.25,1.0"});
-  auto custom = make_pipeline(/*custom_predicate=*/true);
-  auto declarative = make_pipeline(/*custom_predicate=*/false);
+  RawChunk chunk = MakeChunk(0, {"1.5,a,1.0", "-2.0,b,0.0"});
+  for (int call = 0; call < 2; ++call) {
+    Result<FeatureData> frozen = pipeline->Transform(chunk);
+    ASSERT_FALSE(frozen.ok());
+    EXPECT_EQ(frozen.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(frozen.status().message().find("non-numeric column tag"),
+              std::string::npos)
+        << frozen.status().ToString();
+  }
+  EXPECT_EQ(pipeline->plan_cache()->misses(), 2u);
+  EXPECT_EQ(pipeline->plan_cache()->compiles(), 0u);
 
-  FeatureData fallback =
-      std::move(TransformWith(custom.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_EQ(custom->plan_cache()->misses(), 1u);
-  EXPECT_EQ(custom->plan_cache()->compiles(), 0u);
-  // Second fused request hits the cached unfusable verdict.
-  ASSERT_TRUE(TransformWith(custom.get(), chunk, ExecMode::kFused).ok());
-  EXPECT_EQ(custom->plan_cache()->hits(), 1u);
-  EXPECT_EQ(custom->plan_cache()->misses(), 1u);
-
-  // The fallback output equals both the interpreted loop and the fused
-  // output of the equivalent declarative-rule pipeline.
-  FeatureData interpreted =
-      std::move(TransformWith(custom.get(), chunk, ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData fused_rules =
-      std::move(TransformWith(declarative.get(), chunk, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_EQ(declarative->plan_cache()->compiles(), 1u);
-  EXPECT_TRUE(BitEqual(interpreted, fallback));
-  EXPECT_TRUE(BitEqual(interpreted, fused_rules));
-  EXPECT_EQ(fallback.num_rows(), 2u);
+  Result<FeatureData> online = pipeline->UpdateAndTransform(chunk);
+  ASSERT_FALSE(online.ok());
+  EXPECT_NE(online.status().message().find("non-numeric column tag"),
+            std::string::npos);
 }
 
 TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
@@ -261,9 +261,10 @@ TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
 
   auto entry = std::move(Schema::Make({Field{"raw", ValueType::kString}}))
                    .ValueOrDie();
-  std::shared_ptr<const fusion::FusedPlan> plan =
+  Result<std::shared_ptr<const fusion::FusedPlan>> compiled =
       fusion::FusedPlan::Compile(components, *entry);
-  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::shared_ptr<const fusion::FusedPlan>& plan = *compiled;
   // The projector contributes no runtime stage, only a compile-time
   // remapping: it must be accounted as elided at compile time.
   EXPECT_GE(plan->stats().compile_elided, 1u);
@@ -280,8 +281,7 @@ TEST(FusedPlanTest, CompileElidesProjectionAndExecutes) {
   EXPECT_EQ(out.dim, 1u);
   EXPECT_DOUBLE_EQ(out.labels[0], 1.0);
   EXPECT_DOUBLE_EQ(out.features[0].values()[0], 2.5);
-  // parser(1) + projector(1) + assembler(1) per row, same multiplicities as
-  // the interpreted loop.
+  // parser(1) + projector(1) + assembler(1) per row.
   EXPECT_EQ(rows_scanned, 6u);
 }
 
@@ -295,43 +295,87 @@ TEST(FusedPlanTest, DeclinesChainWithoutVectorizingSink) {
   components.push_back(std::make_unique<InputParser>(parser));
   auto entry = std::move(Schema::Make({Field{"raw", ValueType::kString}}))
                    .ValueOrDie();
-  EXPECT_EQ(fusion::FusedPlan::Compile(components, *entry), nullptr);
+  Result<std::shared_ptr<const fusion::FusedPlan>> compiled =
+      fusion::FusedPlan::Compile(components, *entry);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
-  auto pipeline = SmallUrlPipeline();
-  RawChunk chunk =
-      MakeChunk(0, {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0", "+1 9:4.0"});
-  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk).ok());
+// The FusionParity tests pin the blocks' accounting to what a
+// row-at-a-time interpretation of the same chain gives: one scan per
+// component per row reaching it (plus one update scan per stateful
+// component online), and drop counters equal to the rows a per-row
+// evaluation of the rules rejects.
 
-  size_t interpreted_scans = 0;
-  size_t fused_scans = 0;
-  ASSERT_TRUE(pipeline
-                  ->Transform(chunk, nullptr, &interpreted_scans,
-                              ExecMode::kInterpreted)
-                  .ok());
+TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
+  ExecutionEngine engine(4);
+  auto pipeline = SmallUrlPipeline();
+  std::vector<std::string> records = {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0",
+                                      "+1 9:4.0", "not a record"};
+  // 600 rows: enough for the engine-sharded path to split the chunk.
+  std::vector<std::string> many;
+  for (size_t r = 0; r < 600; ++r) many.push_back(records[r % 4]);
+  RawChunk chunk = MakeChunk(0, records);
+  RawChunk large = MakeChunk(1, many);
+
+  // Parser scans every record; imputer, scaler and hasher scan the three
+  // parsed rows; the two stateful ones scan them once more to update.
+  size_t online_scans = 0;
+  ASSERT_TRUE(pipeline->UpdateAndTransform(chunk, &online_scans).ok());
+  EXPECT_EQ(online_scans, 4u + 3u * 3u + 3u * 2u);
+
+  size_t frozen_scans = 0;
+  ASSERT_TRUE(pipeline->Transform(chunk, &frozen_scans).ok());
+  EXPECT_EQ(frozen_scans, 4u + 3u * 3u);
+
+  size_t serial_scans = 0;
+  size_t sharded_scans = 0;
+  ASSERT_TRUE(pipeline->Transform(large, &serial_scans).ok());
+  ASSERT_TRUE(pipeline->Transform(large, &engine, &sharded_scans).ok());
+  EXPECT_EQ(serial_scans, 600u + 450u * 3u);
+  EXPECT_EQ(sharded_scans, serial_scans)
+      << "cost accounting diverged between serial and sharded execution";
+
+  size_t recompute_scans = 0;
   ASSERT_TRUE(
-      pipeline->Transform(chunk, nullptr, &fused_scans, ExecMode::kFused)
-          .ok());
-  EXPECT_GT(interpreted_scans, 0u);
-  EXPECT_EQ(interpreted_scans, fused_scans)
-      << "cost accounting diverged between execution modes";
+      pipeline->TransformRecomputingStatistics(chunk, &recompute_scans).ok());
+  EXPECT_EQ(recompute_scans, online_scans);
 }
 
 TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
-  // Two identical taxi pipelines fed identical chunks, one per execution
-  // mode: the anomaly filter's dropped counter must agree — the fused
-  // kernels report drops through the same component counters.
-  auto interpreted = MakeTaxiPipeline();
-  auto fused = MakeTaxiPipeline();
+  // Reference: parse and extract the chunk, then evaluate the taxi
+  // anomaly rules row by row on the extracted table.  Both entry points
+  // must drop exactly those rows and count them on the deployed filter.
   TaxiStreamGenerator::Config stream;
   stream.records_per_chunk = 256;
   stream.anomaly_prob = 0.2;
   stream.seed = 41;
   std::vector<RawChunk> chunks = TaxiStreamGenerator(stream).Generate(2);
 
-  ASSERT_TRUE(interpreted->UpdateAndTransform(chunks[0]).ok());
-  ASSERT_TRUE(fused->UpdateAndTransform(chunks[0]).ok());
+  InputParser::Options parser_options;
+  parser_options.format = InputParser::Format::kCsv;
+  parser_options.csv_schema = TaxiRawSchema();
+  const InputParser parser(parser_options);
+  const TaxiFeatureExtractor extractor;
+  testing::BlockRunner runner(testing::OwnedRawTable(chunks[1].records));
+  ASSERT_TRUE(runner.Transform(parser).ok());
+  ASSERT_TRUE(runner.Transform(extractor).ok());
+  const TableData extracted =
+      std::get<TableData>(std::move(runner.Output()).ValueOrDie());
+  const size_t duration = *extracted.schema()->FieldIndex("duration_s");
+  const size_t distance = *extracted.schema()->FieldIndex("haversine_km");
+  size_t expected_drops = 0;
+  for (size_t r = 0; r < extracted.num_rows(); ++r) {
+    const Value d = extracted.ValueAt(r, duration);
+    const Value km = extracted.ValueAt(r, distance);
+    const bool keep = !d.is_null() && !km.is_null() &&
+                      d.double_value() >= 10.0 &&
+                      d.double_value() <= 22.0 * 3600.0 &&
+                      km.double_value() > 0.0;
+    if (!keep) ++expected_drops;
+  }
+  ASSERT_GT(expected_drops, 0u)
+      << "fixture produced no anomalies; raise anomaly_prob";
 
   auto filter_drops = [](const Pipeline& p) {
     for (size_t i = 0; i < p.num_components(); ++i) {
@@ -343,23 +387,25 @@ TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
     ADD_FAILURE() << "taxi pipeline has no AnomalyFilter";
     return size_t{0};
   };
-  const size_t interp_before = filter_drops(*interpreted);
-  const size_t fused_before = filter_drops(*fused);
-  ASSERT_EQ(interp_before, fused_before);
+  auto frozen = MakeTaxiPipeline();
+  auto online = MakeTaxiPipeline();
+  ASSERT_TRUE(frozen->UpdateAndTransform(chunks[0]).ok());
+  ASSERT_TRUE(online->UpdateAndTransform(chunks[0]).ok());
+  const size_t frozen_before = filter_drops(*frozen);
+  const size_t online_before = filter_drops(*online);
 
-  FeatureData a = std::move(TransformWith(interpreted.get(), chunks[1],
-                                          ExecMode::kInterpreted))
-                      .ValueOrDie();
-  FeatureData b =
-      std::move(TransformWith(fused.get(), chunks[1], ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(a, b));
-  EXPECT_GT(fused->plan_cache()->compiles(), 0u);
-  EXPECT_EQ(filter_drops(*interpreted) - interp_before,
-            filter_drops(*fused) - fused_before)
-      << "fused filter kernel under- or over-counted drops";
-  EXPECT_GT(filter_drops(*fused), fused_before)
-      << "fixture produced no anomalies; raise anomaly_prob";
+  FeatureData a = std::move(frozen->Transform(chunks[1])).ValueOrDie();
+  FeatureData b = std::move(online->UpdateAndTransform(chunks[1])).ValueOrDie();
+  EXPECT_EQ(filter_drops(*frozen) - frozen_before, expected_drops);
+  EXPECT_EQ(filter_drops(*online) - online_before, expected_drops);
+  EXPECT_EQ(a.num_rows(), extracted.num_rows() - expected_drops);
+  EXPECT_EQ(b.num_rows(), a.num_rows());
+
+  // The NoOptimization baseline recomputes statistics on clones but still
+  // counts drops on the deployed (stateless) filter.
+  const size_t before_recompute = filter_drops(*frozen);
+  ASSERT_TRUE(frozen->TransformRecomputingStatistics(chunks[1]).ok());
+  EXPECT_EQ(filter_drops(*frozen) - before_recompute, expected_drops);
 }
 
 TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
@@ -399,46 +445,46 @@ TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
     ADD_FAILURE() << "pipeline has no ZScoreAnomalyDetector";
     return size_t{0};
   };
+  auto expect_rows = [](const FeatureData& out,
+                        const std::vector<double>& xs) {
+    ASSERT_EQ(out.num_rows(), xs.size());
+    for (size_t r = 0; r < xs.size(); ++r) {
+      EXPECT_EQ(out.features[r].Get(0), xs[r]) << "row " << r;
+      EXPECT_EQ(out.labels[r], 1.0) << "row " << r;
+    }
+  };
 
-  auto interpreted = make_pipeline();
-  auto fused = make_pipeline();
-  RawChunk probe = MakeChunk(1, {"1.5,1.0", "100.0,0.0", "2.5,1.0"});
+  auto pipeline = make_pipeline();
+  RawChunk probe = MakeChunk(1, {"1.5,1.0", "100.0,1.0", "2.5,1.0"});
 
-  // Below min_observations the detector is statistics-free: the fused plan
-  // compiles it to an elided stage and drops nothing — same as interpreted.
+  // Below min_observations the detector is statistics-free: its stage is
+  // elided and drops nothing.
   obs::Counter* elided = obs::MetricsRegistry::Global().GetCounter(
       "pipeline.stages_elided", "");
   const int64_t elided_before = elided->Value();
-  FeatureData cold_a =
-      std::move(TransformWith(interpreted.get(), probe,
-                              ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData cold_b =
-      std::move(TransformWith(fused.get(), probe, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(cold_a, cold_b));
-  EXPECT_EQ(cold_b.num_rows(), 3u);
-  EXPECT_EQ(zscore_drops(*fused), 0u);
+  expect_rows(std::move(pipeline->Transform(probe)).ValueOrDie(),
+              {1.5, 100.0, 2.5});
+  EXPECT_EQ(zscore_drops(*pipeline), 0u);
   EXPECT_GT(elided->Value(), elided_before)
-      << "statistics-free detector was not elided from the fused plan";
+      << "statistics-free detector was not elided";
 
-  // Warm both up past min_observations, then the outlier must be dropped
-  // identically (and the recompile must pick up the new statistics).
+  // Warmed past min_observations (x over {1, 2, 1.5, 2.5, 1.75}: mean 1.75,
+  // σ 0.5, limit 1.0), only the 100.0 row deviates: the recompiled plan
+  // must pick up the new statistics and drop exactly that row.
   RawChunk warmup =
-      MakeChunk(0, {"1.0,1.0", "2.0,0.0", "1.5,1.0", "2.5,0.0", "1.75,1.0"});
-  ASSERT_TRUE(interpreted->UpdateAndTransform(warmup).ok());
-  ASSERT_TRUE(fused->UpdateAndTransform(warmup).ok());
-  FeatureData warm_a =
-      std::move(TransformWith(interpreted.get(), probe,
-                              ExecMode::kInterpreted))
-          .ValueOrDie();
-  FeatureData warm_b =
-      std::move(TransformWith(fused.get(), probe, ExecMode::kFused))
-          .ValueOrDie();
-  EXPECT_TRUE(BitEqual(warm_a, warm_b));
-  EXPECT_EQ(warm_b.num_rows(), 2u);
-  EXPECT_EQ(zscore_drops(*interpreted), zscore_drops(*fused));
-  EXPECT_EQ(zscore_drops(*fused), 1u);
+      MakeChunk(0, {"1.0,1.0", "2.0,1.0", "1.5,1.0", "2.5,1.0", "1.75,1.0"});
+  expect_rows(std::move(pipeline->UpdateAndTransform(warmup)).ValueOrDie(),
+              {1.0, 2.0, 1.5, 2.5, 1.75});
+  expect_rows(std::move(pipeline->Transform(probe)).ValueOrDie(), {1.5, 2.5});
+  EXPECT_EQ(zscore_drops(*pipeline), 1u);
+
+  // The online path folds the probe in first (mean ≈ 14.1, σ ≈ 32.5,
+  // limit ≈ 64.9), and 100.0 still deviates by ≈ 85.9.
+  auto twin = make_pipeline();
+  ASSERT_TRUE(twin->UpdateAndTransform(warmup).ok());
+  expect_rows(std::move(twin->UpdateAndTransform(probe)).ValueOrDie(),
+              {1.5, 2.5});
+  EXPECT_EQ(zscore_drops(*twin), 1u);
 }
 
 }  // namespace

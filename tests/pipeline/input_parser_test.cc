@@ -4,12 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
 namespace {
 
-DataBatch WrapLines(std::vector<std::string> lines) {
+testing::Batch WrapLines(std::vector<std::string> lines) {
   return testing::OwnedRawTable(lines);
 }
 
@@ -19,7 +20,8 @@ TEST(InputParserLibSvmTest, ParsesLabelsAndFeatures) {
   options.feature_dim = 100;
   InputParser parser(options);
 
-  auto result = parser.Transform(WrapLines({"+1 3:1.5 17:2.0", "-1 5:0.25"}));
+  auto result = testing::RunTransform(
+      parser, WrapLines({"+1 3:1.5 17:2.0", "-1 5:0.25"}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& features = std::get<FeatureData>(*result);
   ASSERT_EQ(features.num_rows(), 2u);
@@ -36,7 +38,8 @@ TEST(InputParserLibSvmTest, BinarizesLabels) {
   options.feature_dim = 10;
   options.binarize_labels = true;
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({"0 1:1", "3 1:1", "-2 1:1"}));
+  auto result =
+      testing::RunTransform(parser, WrapLines({"0 1:1", "3 1:1", "-2 1:1"}));
   ASSERT_TRUE(result.ok());
   const auto& features = std::get<FeatureData>(*result);
   EXPECT_DOUBLE_EQ(features.labels[0], -1.0);
@@ -49,7 +52,7 @@ TEST(InputParserLibSvmTest, KeepsRawLabelWhenNotBinarizing) {
   options.feature_dim = 10;
   options.binarize_labels = false;
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({"2.75 1:1"}));
+  auto result = testing::RunTransform(parser, WrapLines({"2.75 1:1"}));
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).labels[0], 2.75);
 }
@@ -58,7 +61,7 @@ TEST(InputParserLibSvmTest, ParsesNanAsMissing) {
   InputParser::Options options;
   options.feature_dim = 10;
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({"+1 2:nan 4:1.0"}));
+  auto result = testing::RunTransform(parser, WrapLines({"+1 2:nan 4:1.0"}));
   ASSERT_TRUE(result.ok());
   const auto& features = std::get<FeatureData>(*result);
   EXPECT_TRUE(std::isnan(features.features[0].Get(2)));
@@ -69,7 +72,7 @@ TEST(InputParserLibSvmTest, DropsMalformedRecords) {
   InputParser::Options options;
   options.feature_dim = 10;
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines(
+  auto result = testing::RunTransform(parser, WrapLines(
       {"+1 1:1.0", "not a record", "+1 999:1.0", "+1 3:abc", "-1 2:2.0"}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<FeatureData>(*result).num_rows(), 2u);
@@ -81,15 +84,15 @@ TEST(InputParserLibSvmTest, StrictModeFailsOnMalformed) {
   options.feature_dim = 10;
   options.strict = true;
   InputParser parser(options);
-  EXPECT_FALSE(parser.Transform(WrapLines({"garbage"})).ok());
+  EXPECT_FALSE(testing::RunTransform(parser, WrapLines({"garbage"})).ok());
 }
 
 TEST(InputParserLibSvmTest, RejectsNonTableInput) {
   InputParser::Options options;
   options.feature_dim = 10;
   InputParser parser(options);
-  DataBatch features = FeatureData{};
-  EXPECT_FALSE(parser.Transform(features).ok());
+  testing::Batch features = FeatureData{};
+  EXPECT_FALSE(testing::RunTransform(parser, features).ok());
 }
 
 std::shared_ptr<const Schema> TestCsvSchema() {
@@ -106,8 +109,8 @@ TEST(InputParserCsvTest, ParsesTypedColumns) {
   options.csv_schema = TestCsvSchema();
   InputParser parser(options);
 
-  auto result =
-      parser.Transform(WrapLines({"2015-01-01 00:00:00,1.5,7,hello"}));
+  auto result = testing::RunTransform(
+      parser, WrapLines({"2015-01-01 00:00:00,1.5,7,hello"}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& table = std::get<TableData>(*result);
   ASSERT_EQ(table.num_rows(), 1u);
@@ -122,7 +125,8 @@ TEST(InputParserCsvTest, EmptyFieldBecomesNull) {
   options.format = InputParser::Format::kCsv;
   options.csv_schema = TestCsvSchema();
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({"2015-01-01 00:00:00,,7,x"}));
+  auto result =
+      testing::RunTransform(parser, WrapLines({"2015-01-01 00:00:00,,7,x"}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(std::get<TableData>(*result).ValueAt(0, 1).is_null());
 }
@@ -132,7 +136,7 @@ TEST(InputParserCsvTest, DropsWrongArityAndBadValues) {
   options.format = InputParser::Format::kCsv;
   options.csv_schema = TestCsvSchema();
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({
+  auto result = testing::RunTransform(parser, WrapLines({
       "2015-01-01 00:00:00,1.0,2,ok",
       "too,few",
       "2015-01-01 00:00:00,abc,2,bad-double",
@@ -152,7 +156,7 @@ TEST(InputParserCsvTest, CustomDelimiter) {
           .ValueOrDie();
   options.delimiter = ';';
   InputParser parser(options);
-  auto result = parser.Transform(WrapLines({"1.0;2.0"}));
+  auto result = testing::RunTransform(parser, WrapLines({"1.0;2.0"}));
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<TableData>(*result).ValueAt(0, 1).double_value(),
                    2.0);
@@ -162,7 +166,7 @@ TEST(InputParserTest, CloneKeepsConfigurationAndCounters) {
   InputParser::Options options;
   options.feature_dim = 10;
   InputParser parser(options);
-  ASSERT_TRUE(parser.Transform(WrapLines({"bad"})).ok());
+  ASSERT_TRUE(testing::RunTransform(parser, WrapLines({"bad"})).ok());
   EXPECT_EQ(parser.num_malformed(), 1u);
   auto clone = parser.Clone();
   EXPECT_EQ(static_cast<InputParser*>(clone.get())->num_malformed(), 1u);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -26,12 +27,12 @@ FeatureData MakeFeatures(std::vector<std::vector<std::pair<uint32_t, double>>>
 
 TEST(ImputerFeatureModeTest, ReplacesNanWithRunningMean) {
   MissingValueImputer imputer;
-  DataBatch batch = MakeFeatures({{{0, 2.0}}, {{0, 4.0}}});
-  ASSERT_TRUE(imputer.Update(batch).ok());
+  testing::Batch batch = MakeFeatures({{{0, 2.0}}, {{0, 4.0}}});
+  ASSERT_TRUE(testing::RunUpdate(&imputer, batch).ok());
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 3.0);
 
-  DataBatch with_missing = MakeFeatures({{{0, kNan}, {1, 5.0}}});
-  auto result = imputer.Transform(with_missing);
+  testing::Batch with_missing = MakeFeatures({{{0, kNan}, {1, 5.0}}});
+  auto result = testing::RunTransform(imputer, with_missing);
   ASSERT_TRUE(result.ok());
   const auto& features = std::get<FeatureData>(*result);
   EXPECT_DOUBLE_EQ(features.features[0].Get(0), 3.0);
@@ -42,28 +43,28 @@ TEST(ImputerFeatureModeTest, UnseenDimensionUsesDefault) {
   MissingValueImputer::Options options;
   options.default_value = -9.0;
   MissingValueImputer imputer(options);
-  DataBatch with_missing = MakeFeatures({{{2, kNan}}});
-  auto result = imputer.Transform(with_missing);
+  testing::Batch with_missing = MakeFeatures({{{2, kNan}}});
+  auto result = testing::RunTransform(imputer, with_missing);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(2), -9.0);
 }
 
 TEST(ImputerFeatureModeTest, UpdateSkipsNan) {
   MissingValueImputer imputer;
-  DataBatch batch = MakeFeatures({{{0, kNan}}, {{0, 6.0}}});
-  ASSERT_TRUE(imputer.Update(batch).ok());
+  testing::Batch batch = MakeFeatures({{{0, kNan}}, {{0, 6.0}}});
+  ASSERT_TRUE(testing::RunUpdate(&imputer, batch).ok());
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 6.0);  // nan not counted
 }
 
 TEST(ImputerFeatureModeTest, IncrementalMeanMatchesBatchMean) {
   MissingValueImputer incremental;
   MissingValueImputer batch;
-  DataBatch part1 = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}});
-  DataBatch part2 = MakeFeatures({{{0, 6.0}}});
-  DataBatch all = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}, {{0, 6.0}}});
-  ASSERT_TRUE(incremental.Update(part1).ok());
-  ASSERT_TRUE(incremental.Update(part2).ok());
-  ASSERT_TRUE(batch.Update(all).ok());
+  testing::Batch part1 = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}});
+  testing::Batch part2 = MakeFeatures({{{0, 6.0}}});
+  testing::Batch all = MakeFeatures({{{0, 1.0}}, {{0, 2.0}}, {{0, 6.0}}});
+  ASSERT_TRUE(testing::RunUpdate(&incremental, part1).ok());
+  ASSERT_TRUE(testing::RunUpdate(&incremental, part2).ok());
+  ASSERT_TRUE(testing::RunUpdate(&batch, all).ok());
   EXPECT_DOUBLE_EQ(incremental.MeanForDimension(0),
                    batch.MeanForDimension(0));
 }
@@ -79,12 +80,12 @@ TEST(ImputerTableModeTest, FillsNullCells) {
   TableData table = testing::TableFromRows(
       schema, {{Value::Double(2.0), Value::Double(1.0)},
                {Value::Double(6.0), Value::Null()}});
-  DataBatch batch = table;
-  ASSERT_TRUE(imputer.Update(batch).ok());
+  testing::Batch batch = table;
+  ASSERT_TRUE(testing::RunUpdate(&imputer, batch).ok());
 
   TableData query = table;
   ASSERT_TRUE(query.AppendRow({Value::Null(), Value::Null()}).ok());
-  auto result = imputer.Transform(DataBatch(query));
+  auto result = testing::RunTransform(imputer, query);
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   EXPECT_DOUBLE_EQ(out.ValueAt(2, 0).double_value(), 4.0);  // imputed mean
@@ -99,12 +100,12 @@ TEST(ImputerTableModeTest, MissingColumnErrors) {
       std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
   TableData table =
       testing::TableFromRows(schema, {{Value::Double(1.0)}});
-  EXPECT_FALSE(imputer.Update(DataBatch(table)).ok());
+  EXPECT_FALSE(testing::RunUpdate(&imputer, table).ok());
 }
 
 TEST(ImputerTest, ResetClearsStatistics) {
   MissingValueImputer imputer;
-  ASSERT_TRUE(imputer.Update(MakeFeatures({{{0, 10.0}}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&imputer, MakeFeatures({{{0, 10.0}}})).ok());
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 10.0);
   imputer.Reset();
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(0), 0.0);
@@ -112,12 +113,12 @@ TEST(ImputerTest, ResetClearsStatistics) {
 
 TEST(ImputerTest, CloneCopiesStatistics) {
   MissingValueImputer imputer;
-  ASSERT_TRUE(imputer.Update(MakeFeatures({{{3, 8.0}}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&imputer, MakeFeatures({{{3, 8.0}}})).ok());
   auto clone = imputer.Clone();
   auto* cloned = static_cast<MissingValueImputer*>(clone.get());
   EXPECT_DOUBLE_EQ(cloned->MeanForDimension(3), 8.0);
   // Statistics are independent after cloning.
-  ASSERT_TRUE(cloned->Update(MakeFeatures({{{3, 0.0}}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(cloned, MakeFeatures({{{3, 0.0}}})).ok());
   EXPECT_DOUBLE_EQ(imputer.MeanForDimension(3), 8.0);
   EXPECT_DOUBLE_EQ(cloned->MeanForDimension(3), 4.0);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -39,11 +40,11 @@ TEST(OneHotEncoderTest, OutputDimIsNumericPlusBlocks) {
 
 TEST(OneHotEncoderTest, EncodesKnownCategories) {
   OneHotEncoder encoder(BaseOptions());
-  DataBatch batch = MakeTable({{1.5, "red", 1.0}, {2.0, "blue", -1.0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
+  testing::Batch batch = MakeTable({{1.5, "red", 1.0}, {2.0, "blue", -1.0}});
+  ASSERT_TRUE(testing::RunUpdate(&encoder, batch).ok());
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
 
-  auto result = encoder.Transform(batch);
+  auto result = testing::RunTransform(encoder, batch);
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   ASSERT_EQ(out.num_rows(), 2u);
@@ -59,9 +60,9 @@ TEST(OneHotEncoderTest, EncodesKnownCategories) {
 
 TEST(OneHotEncoderTest, OutputIsSparseOneNonzeroPerCategorical) {
   OneHotEncoder encoder(BaseOptions(1000));
-  DataBatch batch = MakeTable({{1.0, "a", 0.0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
-  auto result = encoder.Transform(batch);
+  testing::Batch batch = MakeTable({{1.0, "a", 0.0}});
+  ASSERT_TRUE(testing::RunUpdate(&encoder, batch).ok());
+  auto result = testing::RunTransform(encoder, batch);
   ASSERT_TRUE(result.ok());
   // 1 numeric + 1 one-hot nonzero despite a 1000-wide block (the O(p)
   // guarantee of §3.2.1).
@@ -70,10 +71,11 @@ TEST(OneHotEncoderTest, OutputIsSparseOneNonzeroPerCategorical) {
 
 TEST(OneHotEncoderTest, UnknownValueHashesIntoBlock) {
   OneHotEncoder encoder(BaseOptions(4));
-  DataBatch training = MakeTable({{1.0, "red", 0.0}});
-  ASSERT_TRUE(encoder.Update(training).ok());
+  testing::Batch training = MakeTable({{1.0, "red", 0.0}});
+  ASSERT_TRUE(testing::RunUpdate(&encoder, training).ok());
   // "violet" was never folded in; it must still land inside the block.
-  auto result = encoder.Transform(MakeTable({{1.0, "violet", 0.0}}));
+  auto result =
+      testing::RunTransform(encoder, MakeTable({{1.0, "violet", 0.0}}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   ASSERT_EQ(out.features[0].nnz(), 2u);
@@ -84,32 +86,33 @@ TEST(OneHotEncoderTest, UnknownValueHashesIntoBlock) {
 
 TEST(OneHotEncoderTest, DictionaryCapacityRespected) {
   OneHotEncoder encoder(BaseOptions(2));
-  DataBatch batch = MakeTable(
+  testing::Batch batch = MakeTable(
       {{1, "a", 0}, {1, "b", 0}, {1, "c", 0}, {1, "d", 0}});
-  ASSERT_TRUE(encoder.Update(batch).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, batch).ok());
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);  // capped at max_cardinality
 }
 
 TEST(OneHotEncoderTest, IncrementalDictionaryGrowsAcrossUpdates) {
   OneHotEncoder encoder(BaseOptions(8));
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, MakeTable({{1, "a", 0}})).ok());
   EXPECT_EQ(encoder.CardinalityOf(0), 1u);
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "b", 0}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, MakeTable({{1, "b", 0}})).ok());
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
   // Re-seeing "a" does not grow the dictionary.
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, MakeTable({{1, "a", 0}})).ok());
   EXPECT_EQ(encoder.CardinalityOf(0), 2u);
 }
 
 TEST(OneHotEncoderTest, StableIndicesAcrossDictionaryGrowth) {
   OneHotEncoder encoder(BaseOptions(8));
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
-  auto before = encoder.Transform(MakeTable({{1, "a", 0}}));
+  ASSERT_TRUE(testing::RunUpdate(&encoder, MakeTable({{1, "a", 0}})).ok());
+  auto before = testing::RunTransform(encoder, MakeTable({{1, "a", 0}}));
   ASSERT_TRUE(before.ok());
   const uint32_t slot_before =
       std::get<FeatureData>(*before).features[0].indices()[1];
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "b", 0}, {1, "c", 0}})).ok());
-  auto after = encoder.Transform(MakeTable({{1, "a", 0}}));
+  ASSERT_TRUE(
+      testing::RunUpdate(&encoder, MakeTable({{1, "b", 0}, {1, "c", 0}})).ok());
+  auto after = testing::RunTransform(encoder, MakeTable({{1, "a", 0}}));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(std::get<FeatureData>(*after).features[0].indices()[1],
             slot_before);
@@ -120,7 +123,7 @@ TEST(OneHotEncoderTest, NullCategoricalSkipped) {
   TableData table = testing::TableFromRows(
       EncoderSchema(),
       {{Value::Double(2.0), Value::Null(), Value::Double(1)}});
-  auto result = encoder.Transform(DataBatch(table));
+  auto result = testing::RunTransform(encoder, table);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<FeatureData>(*result).features[0].nnz(), 1u);
 }
@@ -131,14 +134,14 @@ TEST(OneHotEncoderTest, NonStringCategoricalErrors) {
   options.categorical_columns = {{"amount", 4}};  // amount is a double column
   options.label_column = "label";
   OneHotEncoder encoder(options);
-  DataBatch batch = MakeTable({{1.0, "x", 0.0}});
-  EXPECT_FALSE(encoder.Update(batch).ok());
-  EXPECT_FALSE(encoder.Transform(batch).ok());
+  testing::Batch batch = MakeTable({{1.0, "x", 0.0}});
+  EXPECT_FALSE(testing::RunUpdate(&encoder, batch).ok());
+  EXPECT_FALSE(testing::RunTransform(encoder, batch).ok());
 }
 
 TEST(OneHotEncoderTest, ResetAndClone) {
   OneHotEncoder encoder(BaseOptions());
-  ASSERT_TRUE(encoder.Update(MakeTable({{1, "a", 0}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&encoder, MakeTable({{1, "a", 0}})).ok());
   auto clone = encoder.Clone();
   EXPECT_EQ(static_cast<OneHotEncoder*>(clone.get())->CardinalityOf(0), 1u);
   encoder.Reset();

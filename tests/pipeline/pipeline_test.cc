@@ -25,17 +25,6 @@ std::unique_ptr<Pipeline> SmallUrlPipeline() {
   return MakeUrlPipeline(config);
 }
 
-TEST(PipelineTest, WrapRawProducesSingleStringColumn) {
-  // The chunk must outlive the table: WrapRaw borrows the record bytes.
-  RawChunk chunk = MakeChunk({"a", "b"});
-  TableData table = Pipeline::WrapRaw(chunk);
-  EXPECT_EQ(table.schema()->num_fields(), 1u);
-  EXPECT_EQ(table.schema()->field(0).name, "raw");
-  ASSERT_EQ(table.num_rows(), 2u);
-  EXPECT_TRUE(table.column(0).is_borrowed());
-  EXPECT_EQ(table.column(0).StringAt(1), "b");
-}
-
 TEST(PipelineTest, RejectsNullComponent) {
   Pipeline pipeline;
   EXPECT_FALSE(pipeline.AddComponent(nullptr).ok());
@@ -51,8 +40,9 @@ class NonIncrementalComponent : public PipelineComponent {
   }
   bool is_stateful() const override { return true; }
   bool supports_online_statistics() const override { return false; }
-  Result<DataBatch> Transform(const DataBatch& batch) const override {
-    return DataBatch(batch);
+  Status Fuse(fusion::PlanBuilder* plan) const override {
+    (void)plan;
+    return Status::OK();
   }
   std::unique_ptr<PipelineComponent> Clone() const override {
     return std::make_unique<NonIncrementalComponent>(*this);
@@ -137,6 +127,29 @@ TEST(PipelineTest, TransformRecomputingStatisticsLeavesDeployedStateAlone) {
   EXPECT_TRUE(probe_before->features[0] == probe_after->features[0]);
 }
 
+TEST(PipelineTest, TransformRecomputingStatisticsMatchesFreshOnlineRun) {
+  // Recomputing statistics for one chunk is exactly the online path of a
+  // pipeline that has seen nothing else.
+  auto deployed = SmallUrlPipeline();
+  ASSERT_TRUE(
+      deployed->UpdateAndTransform(MakeChunk({"+1 3:2.0", "+1 3:6.0"})).ok());
+  const RawChunk chunk = MakeChunk({"+1 3:50.0 5:nan", "-1 3:70.0 9:1.5"});
+  size_t recompute_scans = 0;
+  auto recomputed =
+      deployed->TransformRecomputingStatistics(chunk, &recompute_scans);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+
+  auto fresh = SmallUrlPipeline();
+  size_t online_scans = 0;
+  auto online = fresh->UpdateAndTransform(chunk, &online_scans);
+  ASSERT_TRUE(online.ok());
+  ASSERT_EQ(recomputed->num_rows(), online->num_rows());
+  for (size_t r = 0; r < online->num_rows(); ++r) {
+    EXPECT_TRUE(recomputed->features[r] == online->features[r]) << "row " << r;
+  }
+  EXPECT_EQ(recompute_scans, online_scans);
+}
+
 TEST(PipelineTest, PipelineWithoutVectorizerFails) {
   Pipeline pipeline;
   InputParser::Options parser;
@@ -148,6 +161,9 @@ TEST(PipelineTest, PipelineWithoutVectorizerFails) {
   auto result = pipeline.UpdateAndTransform(MakeChunk({"1.5"}));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  auto frozen = pipeline.Transform(MakeChunk({"1.5"}));
+  ASSERT_FALSE(frozen.ok());
+  EXPECT_EQ(frozen.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(PipelineTest, CloneIsDeepIncludingStatistics) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -25,9 +26,9 @@ FeatureData MakeFeatures(
 TEST(ScalerFeatureModeTest, ComputesMomentsWithImplicitZeros) {
   StandardScaler scaler;
   // Dimension 0 values over 4 rows: 2, 0, 0, 2 -> mean 1, var 1.
-  DataBatch batch =
+  testing::Batch batch =
       MakeFeatures({{{0, 2.0}}, {}, {}, {{0, 2.0}}});
-  ASSERT_TRUE(scaler.Update(batch).ok());
+  ASSERT_TRUE(testing::RunUpdate(&scaler, batch).ok());
   EXPECT_EQ(scaler.ObservationCount(), 4);
   EXPECT_DOUBLE_EQ(scaler.MeanOf(0), 1.0);
   EXPECT_DOUBLE_EQ(scaler.StdDevOf(0), 1.0);
@@ -35,9 +36,10 @@ TEST(ScalerFeatureModeTest, ComputesMomentsWithImplicitZeros) {
 
 TEST(ScalerFeatureModeTest, ScalesByStdDevWithoutCentering) {
   StandardScaler scaler;
-  ASSERT_TRUE(
-      scaler.Update(MakeFeatures({{{0, 2.0}}, {}, {}, {{0, 2.0}}})).ok());
-  auto result = scaler.Transform(MakeFeatures({{{0, 3.0}}}));
+  ASSERT_TRUE(testing::RunUpdate(
+                  &scaler, MakeFeatures({{{0, 2.0}}, {}, {}, {{0, 2.0}}}))
+                  .ok());
+  auto result = testing::RunTransform(scaler, MakeFeatures({{{0, 3.0}}}));
   ASSERT_TRUE(result.ok());
   // sd = 1 -> value unchanged; sparsity preserved (zero entries untouched).
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(0), 3.0);
@@ -47,25 +49,27 @@ TEST(ScalerFeatureModeTest, WithMeanCenters) {
   StandardScaler::Options options;
   options.with_mean = true;
   StandardScaler scaler(options);
-  ASSERT_TRUE(
-      scaler.Update(MakeFeatures({{{0, 2.0}}, {}, {}, {{0, 2.0}}})).ok());
-  auto result = scaler.Transform(MakeFeatures({{{0, 3.0}}}));
+  ASSERT_TRUE(testing::RunUpdate(
+                  &scaler, MakeFeatures({{{0, 2.0}}, {}, {}, {{0, 2.0}}}))
+                  .ok());
+  auto result = testing::RunTransform(scaler, MakeFeatures({{{0, 3.0}}}));
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(0), 2.0);
 }
 
 TEST(ScalerFeatureModeTest, ConstantDimensionPassesThrough) {
   StandardScaler scaler;
-  ASSERT_TRUE(scaler.Update(MakeFeatures({{{1, 5.0}}, {{1, 5.0}}})).ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&scaler, MakeFeatures({{{1, 5.0}}, {{1, 5.0}}})).ok());
   // Variance over {5,5} is 0 -> no scaling.
-  auto result = scaler.Transform(MakeFeatures({{{1, 5.0}}}));
+  auto result = testing::RunTransform(scaler, MakeFeatures({{{1, 5.0}}}));
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(1), 5.0);
 }
 
 TEST(ScalerFeatureModeTest, UnseenDimensionUntouched) {
   StandardScaler scaler;
-  auto result = scaler.Transform(MakeFeatures({{{2, 7.0}}}));
+  auto result = testing::RunTransform(scaler, MakeFeatures({{{2, 7.0}}}));
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(std::get<FeatureData>(*result).features[0].Get(2), 7.0);
 }
@@ -84,10 +88,10 @@ TEST(ScalerFeatureModeTest, IncrementalEqualsBatch) {
     return MakeFeatures(std::vector<std::vector<std::pair<uint32_t, double>>>(
         all_rows.begin() + lo, all_rows.begin() + hi));
   };
-  ASSERT_TRUE(incremental.Update(part(0, 10)).ok());
-  ASSERT_TRUE(incremental.Update(part(10, 11)).ok());
-  ASSERT_TRUE(incremental.Update(part(11, 50)).ok());
-  ASSERT_TRUE(batch.Update(part(0, 50)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&incremental, part(0, 10)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&incremental, part(10, 11)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&incremental, part(11, 50)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&batch, part(0, 50)).ok());
   EXPECT_NEAR(incremental.MeanOf(0), batch.MeanOf(0), 1e-12);
   EXPECT_NEAR(incremental.StdDevOf(0), batch.StdDevOf(0), 1e-12);
   EXPECT_NEAR(incremental.MeanOf(2), batch.MeanOf(2), 1e-12);
@@ -110,8 +114,8 @@ TEST(ScalerTableModeTest, CentersAndScalesColumns) {
   options.columns = {"x"};
   StandardScaler scaler(options);
   // x: {1, 3} -> mean 2, sd 1.
-  ASSERT_TRUE(scaler.Update(DataBatch(MakeTable({{1, 0}, {3, 0}}))).ok());
-  auto result = scaler.Transform(DataBatch(MakeTable({{4, 9}})));
+  ASSERT_TRUE(testing::RunUpdate(&scaler, MakeTable({{1, 0}, {3, 0}})).ok());
+  auto result = testing::RunTransform(scaler, MakeTable({{4, 9}}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   EXPECT_DOUBLE_EQ(out.ValueAt(0, 0).double_value(), 2.0);  // (4-2)/1
@@ -125,17 +129,17 @@ TEST(ScalerTableModeTest, NullCellsSkipped) {
   TableData table = MakeTable({{2, 0}});
   ASSERT_TRUE(table.AppendRow({Value::Null(), Value::Double(0)}).ok());
   ASSERT_TRUE(table.AppendRow({Value::Double(4), Value::Double(0)}).ok());
-  ASSERT_TRUE(scaler.Update(DataBatch(table)).ok());
+  ASSERT_TRUE(testing::RunUpdate(&scaler, table).ok());
   // Stats over {2, 4}: mean 3, sd 1.
   EXPECT_DOUBLE_EQ(scaler.MeanOf(0), 3.0);
-  auto result = scaler.Transform(DataBatch(table));
+  auto result = testing::RunTransform(scaler, table);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(std::get<TableData>(*result).ValueAt(1, 0).is_null());
 }
 
 TEST(ScalerTest, ResetClears) {
   StandardScaler scaler;
-  ASSERT_TRUE(scaler.Update(MakeFeatures({{{0, 2.0}}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(&scaler, MakeFeatures({{{0, 2.0}}})).ok());
   scaler.Reset();
   EXPECT_EQ(scaler.ObservationCount(), 0);
   EXPECT_DOUBLE_EQ(scaler.MeanOf(0), 0.0);
@@ -143,11 +147,12 @@ TEST(ScalerTest, ResetClears) {
 
 TEST(ScalerTest, CloneIsIndependent) {
   StandardScaler scaler;
-  ASSERT_TRUE(scaler.Update(MakeFeatures({{{0, 2.0}}, {{0, 4.0}}})).ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&scaler, MakeFeatures({{{0, 2.0}}, {{0, 4.0}}})).ok());
   auto clone = scaler.Clone();
   auto* cloned = static_cast<StandardScaler*>(clone.get());
   EXPECT_DOUBLE_EQ(cloned->MeanOf(0), scaler.MeanOf(0));
-  ASSERT_TRUE(cloned->Update(MakeFeatures({{{0, 100.0}}})).ok());
+  ASSERT_TRUE(testing::RunUpdate(cloned, MakeFeatures({{{0, 100.0}}})).ok());
   EXPECT_NE(cloned->MeanOf(0), scaler.MeanOf(0));
 }
 

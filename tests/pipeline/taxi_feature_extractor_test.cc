@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/string_util.h"
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -63,7 +64,7 @@ TEST(TaxiFeatureExtractorTest, ComputesAllDerivedColumns) {
   TableData table = testing::TableFromRows(
       RawSchema(), {MakeTrip("2015-01-07 08:30:00", "2015-01-07 08:50:00",
                              -73.97, 40.75, -73.98, 40.78)});
-  auto result = extractor.Transform(DataBatch(table));
+  auto result = testing::RunTransform(extractor, table);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& out = std::get<TableData>(*result);
   ASSERT_EQ(out.num_rows(), 1u);
@@ -94,7 +95,7 @@ TEST(TaxiFeatureExtractorTest, WeekdayAcrossWeek) {
                  -73.98, 40.76));
   }
   TableData table = testing::TableFromRows(RawSchema(), rows);
-  auto result = extractor.Transform(DataBatch(table));
+  auto result = testing::RunTransform(extractor, table);
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   const size_t dow =
@@ -112,7 +113,7 @@ TEST(TaxiFeatureExtractorTest, DropsRowsWithMissingEndpoints) {
   incomplete[2] = Value::Null();
   TableData table =
       testing::TableFromRows(RawSchema(), {complete, incomplete});
-  auto result = extractor.Transform(DataBatch(table));
+  auto result = testing::RunTransform(extractor, table);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
 }
@@ -123,7 +124,7 @@ TEST(TaxiFeatureExtractorTest, MissingColumnErrors) {
       std::move(Schema::Make({Field{"x", ValueType::kDouble}})).ValueOrDie();
   TableData table =
       testing::TableFromRows(schema, {{Value::Double(1.0)}});
-  EXPECT_FALSE(extractor.Transform(DataBatch(table)).ok());
+  EXPECT_FALSE(testing::RunTransform(extractor, table).ok());
 }
 
 TEST(TaxiFeatureExtractorTest, StatelessContract) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -35,7 +36,7 @@ VectorAssembler::Options BaseOptions(bool intercept = false) {
 
 TEST(VectorAssemblerTest, PacksColumnsInOrder) {
   VectorAssembler assembler(BaseOptions());
-  auto result = assembler.Transform(DataBatch(MakeTable({{1, 2, 3}})));
+  auto result = testing::RunTransform(assembler, MakeTable({{1, 2, 3}}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   EXPECT_EQ(out.dim, 2u);
@@ -47,7 +48,7 @@ TEST(VectorAssemblerTest, PacksColumnsInOrder) {
 TEST(VectorAssemblerTest, InterceptAppendsConstantOne) {
   VectorAssembler assembler(BaseOptions(/*intercept=*/true));
   EXPECT_EQ(assembler.output_dim(), 3u);
-  auto result = assembler.Transform(DataBatch(MakeTable({{0, 0, 5}})));
+  auto result = testing::RunTransform(assembler, MakeTable({{0, 0, 5}}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   EXPECT_DOUBLE_EQ(out.features[0].Get(2), 1.0);
@@ -60,7 +61,7 @@ TEST(VectorAssemblerTest, NullFeatureBecomesZero) {
   TableData table = testing::TableFromRows(
       ThreeColumnSchema(),
       {{Value::Null(), Value::Double(2), Value::Double(1)}});
-  auto result = assembler.Transform(DataBatch(table));
+  auto result = testing::RunTransform(assembler, table);
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<FeatureData>(*result);
   EXPECT_DOUBLE_EQ(out.features[0].Get(0), 0.0);
@@ -72,7 +73,7 @@ TEST(VectorAssemblerTest, NullLabelErrors) {
   TableData table = testing::TableFromRows(
       ThreeColumnSchema(),
       {{Value::Double(1), Value::Double(2), Value::Null()}});
-  EXPECT_FALSE(assembler.Transform(DataBatch(table)).ok());
+  EXPECT_FALSE(testing::RunTransform(assembler, table).ok());
 }
 
 TEST(VectorAssemblerTest, MissingColumnErrors) {
@@ -80,17 +81,17 @@ TEST(VectorAssemblerTest, MissingColumnErrors) {
   options.feature_columns = {"nope"};
   options.label_column = "y";
   VectorAssembler assembler(options);
-  EXPECT_FALSE(assembler.Transform(DataBatch(MakeTable({{1, 2, 3}}))).ok());
+  EXPECT_FALSE(testing::RunTransform(assembler, MakeTable({{1, 2, 3}})).ok());
 }
 
 TEST(VectorAssemblerTest, RejectsFeatureBatch) {
   VectorAssembler assembler(BaseOptions());
-  EXPECT_FALSE(assembler.Transform(DataBatch(FeatureData{})).ok());
+  EXPECT_FALSE(testing::RunTransform(assembler, FeatureData{}).ok());
 }
 
 TEST(VectorAssemblerTest, EmptyTableGivesEmptyFeatures) {
   VectorAssembler assembler(BaseOptions());
-  auto result = assembler.Transform(DataBatch(MakeTable({})));
+  auto result = testing::RunTransform(assembler, MakeTable({}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<FeatureData>(*result).num_rows(), 0u);
 }

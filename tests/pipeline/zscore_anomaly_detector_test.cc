@@ -6,6 +6,7 @@
 
 #include "src/common/rng.h"
 #include "src/io/serialization.h"
+#include "tests/testing/block_runner.h"
 #include "tests/testing/table_test_util.h"
 
 namespace cdpipe {
@@ -39,10 +40,12 @@ TableData GaussianTable(Rng* rng, size_t n, double mean, double sd) {
 TEST(ZScoreDetectorTest, LearnsMomentsIncrementally) {
   Rng rng(1);
   ZScoreAnomalyDetector detector(BaseOptions());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 500, 10.0, 2.0)))
-                  .ok());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 500, 10.0, 2.0)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 500, 10.0, 2.0)))
+          .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 500, 10.0, 2.0)))
+          .ok());
   EXPECT_EQ(detector.CountOf(0), 1000);
   EXPECT_NEAR(detector.MeanOf(0), 10.0, 0.3);
   EXPECT_NEAR(detector.StdDevOf(0), 2.0, 0.3);
@@ -51,10 +54,11 @@ TEST(ZScoreDetectorTest, LearnsMomentsIncrementally) {
 TEST(ZScoreDetectorTest, DropsOutliersKeepsInliers) {
   Rng rng(2);
   ZScoreAnomalyDetector detector(BaseOptions(/*threshold=*/3.0));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 1000, 0.0, 1.0)))
-                  .ok());
-  auto result = detector.Transform(
-      DataBatch(MakeTable({0.0, 1.5, -2.0, 50.0, -40.0, 0.5})));
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 1000, 0.0, 1.0)))
+          .ok());
+  auto result = testing::RunTransform(
+      detector, MakeTable({0.0, 1.5, -2.0, 50.0, -40.0, 0.5}));
   ASSERT_TRUE(result.ok());
   const auto& out = std::get<TableData>(*result);
   EXPECT_EQ(out.num_rows(), 4u);  // 50 and -40 dropped
@@ -63,19 +67,18 @@ TEST(ZScoreDetectorTest, DropsOutliersKeepsInliers) {
 
 TEST(ZScoreDetectorTest, ColdDetectorDropsNothing) {
   ZScoreAnomalyDetector detector(BaseOptions(3.0, /*min_observations=*/100));
-  ASSERT_TRUE(detector.Update(DataBatch(MakeTable({1, 2, 3}))).ok());
+  ASSERT_TRUE(testing::RunUpdate(&detector, MakeTable({1, 2, 3})).ok());
   // Only 3 observations < 100: even a wild value passes.
-  auto result = detector.Transform(DataBatch(MakeTable({1e9})));
+  auto result = testing::RunTransform(detector, MakeTable({1e9}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
 }
 
 TEST(ZScoreDetectorTest, ConstantColumnDropsNothing) {
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 5));
-  ASSERT_TRUE(detector.Update(
-                      DataBatch(MakeTable({7, 7, 7, 7, 7, 7, 7, 7})))
-                  .ok());
-  auto result = detector.Transform(DataBatch(MakeTable({7, 7})));
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, MakeTable({7, 7, 7, 7, 7, 7, 7, 7})).ok());
+  auto result = testing::RunTransform(detector, MakeTable({7, 7}));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 2u);
 }
@@ -83,11 +86,11 @@ TEST(ZScoreDetectorTest, ConstantColumnDropsNothing) {
 TEST(ZScoreDetectorTest, NullCellsNeverVote) {
   Rng rng(3);
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 10));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 100, 0.0, 1.0)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 100, 0.0, 1.0))).ok());
   TableData table = testing::TableFromRows(OneColumnSchema(),
                                            {{Value::Null()}});
-  auto result = detector.Transform(DataBatch(table));
+  auto result = testing::RunTransform(detector, table);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(std::get<TableData>(*result).num_rows(), 1u);
 }
@@ -97,10 +100,11 @@ TEST(ZScoreDetectorTest, FalsePositiveRateBounded) {
   // be tiny (P(|z| > 4) ≈ 6e-5).
   Rng rng(4);
   ZScoreAnomalyDetector detector(BaseOptions(/*threshold=*/4.0, 100));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 2000, 5.0, 3.0)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 2000, 5.0, 3.0)))
+          .ok());
   auto result =
-      detector.Transform(DataBatch(GaussianTable(&rng, 5000, 5.0, 3.0)));
+      testing::RunTransform(detector, (GaussianTable(&rng, 5000, 5.0, 3.0)));
   ASSERT_TRUE(result.ok());
   EXPECT_GE(std::get<TableData>(*result).num_rows(), 4990u);
 }
@@ -110,8 +114,9 @@ TEST(ZScoreDetectorTest, CatchesInjectedAnomalies) {
   // removed while inliers survive.
   Rng rng(5);
   ZScoreAnomalyDetector detector(BaseOptions(4.0, 100));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 2000, 0.0, 1.0)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 2000, 0.0, 1.0)))
+          .ok());
   TableData mixed = GaussianTable(&rng, 100, 0.0, 1.0);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(
@@ -119,7 +124,7 @@ TEST(ZScoreDetectorTest, CatchesInjectedAnomalies) {
             .AppendRow({Value::Double(rng.NextBernoulli(0.5) ? 15.0 : -15.0)})
             .ok());
   }
-  auto result = detector.Transform(DataBatch(mixed));
+  auto result = testing::RunTransform(detector, mixed);
   ASSERT_TRUE(result.ok());
   const size_t kept = std::get<TableData>(*result).num_rows();
   EXPECT_GE(kept, 98u);   // inliers survive
@@ -132,14 +137,14 @@ TEST(ZScoreDetectorTest, RejectsNonNumericColumn) {
       std::move(Schema::Make({Field{"x", ValueType::kString}})).ValueOrDie();
   TableData table =
       testing::TableFromRows(schema, {{Value::String("abc")}});
-  EXPECT_FALSE(detector.Update(DataBatch(table)).ok());
+  EXPECT_FALSE(testing::RunUpdate(&detector, table).ok());
 }
 
 TEST(ZScoreDetectorTest, CheckpointRoundTrip) {
   Rng rng(6);
   ZScoreAnomalyDetector detector(BaseOptions(3.0, 10));
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 200, 2.0, 0.5)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 200, 2.0, 0.5))).ok());
   std::ostringstream os;
   Serializer out(&os);
   ASSERT_TRUE(detector.SaveState(&out).ok());
@@ -156,8 +161,8 @@ TEST(ZScoreDetectorTest, CheckpointRoundTrip) {
 TEST(ZScoreDetectorTest, ResetAndCloneAndContract) {
   Rng rng(7);
   ZScoreAnomalyDetector detector(BaseOptions());
-  ASSERT_TRUE(detector.Update(DataBatch(GaussianTable(&rng, 100, 0.0, 1.0)))
-                  .ok());
+  ASSERT_TRUE(
+      testing::RunUpdate(&detector, (GaussianTable(&rng, 100, 0.0, 1.0))).ok());
   auto clone = detector.Clone();
   EXPECT_EQ(static_cast<ZScoreAnomalyDetector*>(clone.get())->CountOf(0),
             100);

@@ -2,7 +2,9 @@
 // prequential evaluate step through the PredictionService must be
 // BIT-IDENTICAL to the in-loop evaluate path — same quality curve row by
 // row, same final deployed state (hexfloat-exact checkpoint fingerprint) —
-// at engine threads {1, 4} and under both serving execution modes.
+// at engine threads {1, 4} and under the uniform and window proactive
+// samplers (the sampler decides which historical chunks the proactive
+// iterations replay between publishes).
 //
 // Why this holds: in serve-eval mode the deployment publishes the snapshot
 // after the chunk's statistics update and before its online SGD step.  A
@@ -60,11 +62,13 @@ struct RunResult {
 /// configuration is supplied, the serving tier is attached with
 /// serve-evaluation routing.
 RunResult RunOnce(size_t engine_threads, bool serve_eval,
-                  ExecMode serving_mode) {
+                  SamplerKind sampler) {
   Deployment::Options options;
   options.eval_window = 300;
   options.seed = 7;
   options.engine_threads = engine_threads;
+  options.sampler = sampler;
+  options.sampler_window = 6;
   ContinuousDeployment::ContinuousOptions continuous;
   continuous.proactive_every_chunks = 3;
   continuous.sample_chunks = 4;
@@ -79,7 +83,6 @@ RunResult RunOnce(size_t engine_threads, bool serve_eval,
 
   serving::SnapshotPublisher publisher;
   serving::PredictionService::Options service_options;
-  service_options.exec_mode = serving_mode;
   service_options.deployment_id = deployment.deployment_id();
   serving::PredictionService service(&publisher, service_options);
   if (serve_eval) {
@@ -127,16 +130,16 @@ void ExpectBitIdenticalQuality(const RunResult& baseline,
 }
 
 class ServeThenTrainTest
-    : public ::testing::TestWithParam<std::tuple<size_t, ExecMode>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, SamplerKind>> {};
 
 TEST_P(ServeThenTrainTest, ServedEvaluationIsBitIdenticalToInLoop) {
   const size_t engine_threads = std::get<0>(GetParam());
-  const ExecMode serving_mode = std::get<1>(GetParam());
+  const SamplerKind sampler = std::get<1>(GetParam());
 
   const RunResult baseline =
-      RunOnce(engine_threads, /*serve_eval=*/false, serving_mode);
+      RunOnce(engine_threads, /*serve_eval=*/false, sampler);
   const RunResult served =
-      RunOnce(engine_threads, /*serve_eval=*/true, serving_mode);
+      RunOnce(engine_threads, /*serve_eval=*/true, sampler);
 
   ExpectBitIdenticalQuality(baseline, served);
   // Every chunk was evaluated through the service, nothing fell back, and
@@ -156,8 +159,8 @@ TEST_P(ServeThenTrainTest, ServedEvaluationIsBitIdenticalToInLoop) {
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndModes, ServeThenTrainTest,
     ::testing::Combine(::testing::Values<size_t>(1, 4),
-                       ::testing::Values(ExecMode::kFused,
-                                         ExecMode::kInterpreted)));
+                       ::testing::Values(SamplerKind::kWindow,
+                                         SamplerKind::kUniform)));
 
 }  // namespace
 }  // namespace cdpipe

@@ -1,29 +1,33 @@
 #ifndef CDPIPE_TESTS_TESTING_TABLE_TEST_UTIL_H_
 #define CDPIPE_TESTS_TESTING_TABLE_TEST_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/dataframe/chunk.h"
+#include "tests/testing/table_data.h"
 
 namespace cdpipe {
 namespace testing {
 
-/// An *owned* single-string-column table in the pipeline's entry shape
-/// (what `Pipeline::WrapRaw` produces), for feeding parsers in tests
-/// without keeping a RawChunk alive: WrapRaw borrows its records, so a
-/// test that wraps a temporary chunk would read freed memory.  This copy
-/// has no such lifetime to manage.
-inline TableData OwnedRawTable(const std::vector<std::string>& lines) {
+/// The pipeline's entry schema: a single string column named "raw".
+inline const std::shared_ptr<const Schema>& RawEntrySchema() {
   static const std::shared_ptr<const Schema> kRawSchema =
       std::move(Schema::Make({Field{"raw", ValueType::kString}})).ValueOrDie();
+  return kRawSchema;
+}
+
+/// An owned single-string-column table in the pipeline's entry shape (one
+/// "raw" string column, one record per row), for feeding parsers through
+/// BlockRunner.
+inline TableData OwnedRawTable(const std::vector<std::string>& lines) {
   Column raw(ValueType::kString);
   raw.Reserve(lines.size());
   for (const std::string& line : lines) raw.AppendString(line);
   std::vector<Column> columns;
   columns.push_back(std::move(raw));
-  return std::move(TableData::Make(kRawSchema, std::move(columns)))
+  return std::move(TableData::Make(RawEntrySchema(), std::move(columns)))
       .ValueOrDie();
 }
 
