@@ -172,7 +172,8 @@ int main(int argc, char** argv) {
         curve[std::min(curve.size() - 1, half + 30)].windowed_error;
     std::printf("%-30s %10.4f %13.4f %11lld %10lld\n", row.label,
                 row.report.final_error, at30,
-                static_cast<long long>(row.report.retrainings),
+                static_cast<long long>(row.report.metrics.CounterValueOr(
+                    "deployment.retrainings", 0)),
                 static_cast<long long>(row.report.total_work));
   }
   return 0;

@@ -259,11 +259,11 @@ void RunDeploymentSweep(const std::string& dir, double scale,
     DeploymentRow row;
     row.budget = point.label;
     row.total_mu = report.storage.EmpiricalMu();
-    row.memory_mu = report.memory_mu;
-    row.disk_mu = report.disk_mu;
-    row.chunks_spilled = report.chunks_spilled;
-    row.prefetch_hit_rate = report.prefetch_hit_rate;
-    row.compression_ratio = report.spill_compression_ratio;
+    row.memory_mu = report.storage.MemoryMu();
+    row.disk_mu = report.storage.DiskMu();
+    row.chunks_spilled = report.storage.chunks_spilled;
+    row.prefetch_hit_rate = report.storage.PrefetchHitRate();
+    row.compression_ratio = report.storage.SpillCompressionRatio();
     row.seconds = watch.ElapsedSeconds();
     row.final_error = report.final_error;
     std::printf(

@@ -28,7 +28,7 @@ void RunScenario(const Scenario& scenario) {
   for (int i = 0; i < 3; ++i) {
     reports[i] = RunDeployment(scenario, kinds[i]);
     std::printf("  %-12s %14.5f %12.2f %16lld\n", StrategyName(kinds[i]),
-                reports[i].average_error, reports[i].total_seconds,
+                reports[i].average_error, reports[i].cost.TotalSeconds(),
                 static_cast<long long>(reports[i].total_work));
   }
   std::printf(

@@ -23,18 +23,24 @@ void RunScenario(const Scenario& scenario) {
   DeploymentReport periodical =
       RunDeployment(scenario, StrategyKind::kPeriodical);
 
-  const double avg_proactive = continuous.average_proactive_seconds;
+  const obs::HistogramSnapshot* proactive_seconds =
+      continuous.metrics.FindHistogram("proactive.iteration_seconds");
+  const double avg_proactive =
+      proactive_seconds != nullptr ? proactive_seconds->Mean() : 0.0;
+  const int64_t retrainings =
+      periodical.metrics.CounterValueOr("deployment.retrainings", 0);
   const double avg_retrain =
-      periodical.retrainings > 0
+      retrainings > 0
           ? (periodical.cost.SecondsIn(CostPhase::kRetraining) +
              periodical.cost.SecondsIn(CostPhase::kMaterialization)) /
-                static_cast<double>(periodical.retrainings)
+                static_cast<double>(retrainings)
           : 0.0;
   std::printf("  proactive iterations: %lld, avg latency: %.4fs\n",
-              static_cast<long long>(continuous.proactive_iterations),
+              static_cast<long long>(continuous.metrics.CounterValueOr(
+                  "proactive.iterations", 0)),
               avg_proactive);
   std::printf("  full retrainings:     %lld, avg latency: %.4fs\n",
-              static_cast<long long>(periodical.retrainings), avg_retrain);
+              static_cast<long long>(retrainings), avg_retrain);
   if (avg_proactive > 0.0) {
     std::printf("  -> one retraining costs %.0fx one proactive step\n",
                 avg_retrain / avg_proactive);

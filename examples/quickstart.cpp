@@ -89,7 +89,7 @@ int main() {
   std::printf("materialization: %lld hits, %lld misses (mu=%.2f)\n",
               static_cast<long long>(report->storage.SampleHits()),
               static_cast<long long>(report->storage.sample_misses),
-              report->empirical_mu);
+              report->storage.EmpiricalMu());
   if (obs::Tracer::Global().enabled()) {
     std::printf("trace: %zu spans buffered, dumping to %s at exit "
                 "(open in chrome://tracing)\n",

@@ -132,11 +132,13 @@ int main(int argc, char** argv) {
   std::printf("\n%-12s %16s %14s %14s %12s\n", "strategy", "misclassification",
               "cost(s)", "work(rows)", "updates");
   for (const StrategyResult& result : results) {
+    const obs::MetricsSnapshot& metrics = result.report.metrics;
     std::printf("%-12s %16.5f %14.2f %14lld %12lld\n", result.label.c_str(),
-                result.report.final_error, result.report.total_seconds,
+                result.report.final_error, result.report.cost.TotalSeconds(),
                 static_cast<long long>(result.report.total_work),
-                static_cast<long long>(result.report.proactive_iterations +
-                                       result.report.retrainings));
+                static_cast<long long>(
+                    metrics.CounterValueOr("proactive.iterations", 0) +
+                    metrics.CounterValueOr("deployment.retrainings", 0)));
   }
   std::printf(
       "\ncontinuous vs periodical: %.2fx less work, quality delta %+.5f\n",

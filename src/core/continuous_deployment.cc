@@ -43,7 +43,6 @@ Status ContinuousDeployment::AfterChunk(size_t stream_index,
         continuous_options_.drift_detector->Observe(
             outcome.mean_error_signal);
     if (state == DriftState::kDrift) {
-      ++drift_events_;
       obs::MetricsRegistry::Global()
           .GetCounter("deployment.drift_events")
           ->Increment();
@@ -133,12 +132,6 @@ Status ContinuousDeployment::RunDriftBurst() {
   }
   pipeline_manager().PublishSnapshot();
   return Status::OK();
-}
-
-void ContinuousDeployment::FillReport(DeploymentReport* report) const {
-  report->proactive_iterations = trainer_.stats().iterations;
-  report->average_proactive_seconds = trainer_.stats().AverageDurationSeconds();
-  report->drift_events = drift_events_;
 }
 
 }  // namespace cdpipe

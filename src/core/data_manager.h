@@ -69,7 +69,6 @@ class DataManager {
   /// Drains and destroys the prefetcher.  Must run while the engine passed
   /// to EnablePrefetch is still alive.
   void DisablePrefetch();
-  bool prefetch_enabled() const { return prefetcher_ != nullptr; }
 
   /// Predicts the chunk ids the *next* SampleForTraining call will draw —
   /// the sampler is deterministic and `*rng` is cloned, not consumed — and

@@ -99,11 +99,11 @@ Status Deployment::InitialTrain(const std::vector<RawChunk>& bootstrap,
   for (const FeatureChunk& chunk : transformed) parts.push_back(&chunk.data);
 
   BatchTrainer trainer(train_options);
-  CDPIPE_ASSIGN_OR_RETURN(
-      BatchTrainer::Stats stats,
-      trainer.Train(parts, pipeline_manager_->mutable_model(),
-                    pipeline_manager_->mutable_optimizer(), &rng_, &engine_));
-  initial_training_epochs_ = stats.epochs_run;
+  CDPIPE_RETURN_NOT_OK(
+      trainer
+          .Train(parts, pipeline_manager_->mutable_model(),
+                 pipeline_manager_->mutable_optimizer(), &rng_, &engine_)
+          .status());
 
   // The bootstrap chunks become historical data available for sampling.
   for (FeatureChunk& chunk : transformed) {
@@ -200,7 +200,6 @@ struct Deployment::RunState {
   size_t chunks_since_publish = 0;
   int64_t max_staleness_chunks = 0;
   int64_t publish_skipped_overload = 0;
-  int64_t degraded_admit_skips = 0;
 };
 
 Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
@@ -274,7 +273,6 @@ Status Deployment::ProcessStreamChunk(RunState* state, const RawChunk& chunk,
     // kDegrade admission under pressure: the raw chunk is stored, but its
     // feature materialization is skipped to shed work — dynamic
     // materialization rebuilds it if proactive training ever samples it.
-    state->degraded_admit_skips += 1;
     obs::EventJournal::Global().Append(obs::EventKind::kDegrade,
                                        "degraded_admit_skip_materialize");
   }
@@ -435,60 +433,19 @@ Result<DeploymentReport> Deployment::RunImpl(
       state.processed == 0 ? 0.0
                            : state.sum_cumulative_error /
                                  static_cast<double>(state.processed);
-  report.total_seconds = cost_.TotalSeconds();
   report.total_work = cost_.TotalWork();
+  report.chunks_processed = static_cast<int64_t>(state.processed);
   report.cost = cost_;
   report.storage = data_manager_.store().counters();
-  report.empirical_mu = report.storage.EmpiricalMu();
-  report.memory_mu = report.storage.MemoryMu();
-  report.disk_mu = report.storage.DiskMu();
-  report.prefetch_hit_rate = report.storage.PrefetchHitRate();
-  report.spill_compression_ratio = report.storage.SpillCompressionRatio();
-  report.chunks_spilled = report.storage.chunks_spilled;
-  report.disk_loads = report.storage.disk_loads;
-  report.prefetch_hits = report.storage.prefetch_hits;
-  report.spill_failures = report.storage.spill_failures;
-  report.spill_corrupt_detected = report.storage.spill_corrupt_detected;
-  report.chunks_processed = static_cast<int64_t>(state.processed);
-  report.initial_training_epochs = initial_training_epochs_;
   report.metrics = obs::MetricsSnapshot::Delta(
       metrics_before, obs::MetricsRegistry::Global().Snapshot());
-  report.faults_injected = report.metrics.CounterValueOr("fault.injected", 0);
-  report.retry_attempts = report.metrics.CounterValueOr("retry.attempts", 0);
-  report.retries_exhausted =
-      report.metrics.CounterValueOr("retry.exhausted", 0);
   report.degraded_events =
       report.metrics.CounterValueOr("deployment.degraded", 0) +
       report.metrics.CounterValueOr("proactive.chunks_skipped", 0) +
       report.metrics.CounterValueOr("proactive.iterations_degraded", 0);
-  report.proactive_chunks_skipped =
-      report.metrics.CounterValueOr("proactive.chunks_skipped", 0);
-  report.serving_requests = report.metrics.CounterValueOr("serving.requests", 0);
-  report.serving_errors = report.metrics.CounterValueOr("serving.errors", 0);
-  report.serving_stale_reads =
-      report.metrics.CounterValueOr("serving.stale_reads", 0);
-  report.snapshot_publishes =
-      report.metrics.CounterValueOr("serving.publishes", 0);
-  report.serving_eval_fallbacks =
-      report.metrics.CounterValueOr("serving.eval_fallbacks", 0);
-  report.serving_shed = report.metrics.CounterValueOr("serving.shed", 0);
-  report.proactive_deferred =
-      report.metrics.CounterValueOr("proactive.iterations_deferred", 0);
+  if (admission != nullptr) report.ingest = admission->counters();
   report.publish_skipped_overload = state.publish_skipped_overload;
   report.max_snapshot_staleness_chunks = state.max_staleness_chunks;
-  if (admission != nullptr) {
-    const AdmissionController::Counters& ingest = admission->counters();
-    report.ingest_offered = ingest.offered;
-    report.ingest_admitted = ingest.admitted;
-    report.ingest_degraded_admits = ingest.degraded_admits;
-    report.ingest_shed = ingest.shed;
-    report.ingest_shed_oldest = ingest.shed_oldest;
-    report.ingest_shed_newest = ingest.shed_newest;
-    report.ingest_shed_timeout = ingest.shed_timeout;
-    report.ingest_pressure_changes = ingest.pressure_changes;
-    report.ingest_peak_queue_depth = ingest.peak_queue_depth;
-  }
-  FillReport(&report);
   return report;
 }
 

@@ -155,9 +155,6 @@ class Deployment {
   virtual Status AfterChunk(size_t stream_index, const RawChunk& chunk,
                             const ChunkOutcome& outcome) = 0;
 
-  /// Lets strategies contribute their counters to the final report.
-  virtual void FillReport(DeploymentReport* report) const { (void)report; }
-
   PipelineManager& pipeline_manager() { return *pipeline_manager_; }
   DataManager& data_manager() { return data_manager_; }
   ExecutionEngine& engine() { return engine_; }
@@ -213,7 +210,6 @@ class Deployment {
   std::unique_ptr<PipelineManager> pipeline_manager_;
   std::unique_ptr<Metric> metric_prototype_;
   Rng rng_;
-  int64_t initial_training_epochs_ = 0;
 
   // Serving attachment (all borrowed; see AttachServing).
   serving::SnapshotPublisher* serving_publisher_ = nullptr;

@@ -116,7 +116,6 @@ Status PeriodicalDeployment::Retrain() {
         BatchTrainer::Stats stats,
         trainer.Train(parts, model.get(), optimizer.get(), &rng(), &engine()));
     cost().AddWork(CostPhase::kRetraining, stats.examples_visited);
-    retrain_epochs_total_ += stats.epochs_run;
   }
 
   pipeline_manager().Redeploy(std::move(model), std::move(optimizer));
@@ -128,10 +127,6 @@ Status PeriodicalDeployment::Retrain() {
       obs::EventKind::kTrainStep,
       obs::CorrelationScope::WithEntity(retrainings_), "retrain");
   return Status::OK();
-}
-
-void PeriodicalDeployment::FillReport(DeploymentReport* report) const {
-  report->retrainings = retrainings_;
 }
 
 }  // namespace cdpipe

@@ -101,7 +101,6 @@ class PipelineManager {
                    ExecutionEngine* engine = nullptr);
 
   const Pipeline& pipeline() const { return *pipeline_; }
-  Pipeline* mutable_pipeline() { return pipeline_.get(); }
   const LinearModel& model() const { return *model_; }
   LinearModel* mutable_model() { return model_.get(); }
   const Optimizer& optimizer() const { return *optimizer_; }

@@ -36,39 +36,47 @@ std::vector<DeploymentReport::PointRow> DeploymentReport::SampledCurve(
 }
 
 std::string DeploymentReport::Summary() const {
+  const obs::HistogramSnapshot* proactive_seconds =
+      metrics.FindHistogram("proactive.iteration_seconds");
   std::string out = StrFormat(
       "%s: final %s=%.5f (avg %.5f), cost %.2fs / %lld work units, "
       "proactive=%lld (avg %.4fs), retrainings=%lld, mu=%.3f, "
       "chunks=%lld",
       strategy.c_str(), metric_name.c_str(), final_error, average_error,
-      total_seconds, static_cast<long long>(total_work),
-      static_cast<long long>(proactive_iterations), average_proactive_seconds,
-      static_cast<long long>(retrainings), empirical_mu,
-      static_cast<long long>(chunks_processed));
-  if (chunks_spilled > 0) {
+      cost.TotalSeconds(), static_cast<long long>(total_work),
+      static_cast<long long>(
+          metrics.CounterValueOr("proactive.iterations", 0)),
+      proactive_seconds != nullptr ? proactive_seconds->Mean() : 0.0,
+      static_cast<long long>(
+          metrics.CounterValueOr("deployment.retrainings", 0)),
+      storage.EmpiricalMu(), static_cast<long long>(chunks_processed));
+  if (storage.chunks_spilled > 0) {
     out += StrFormat(
         ", spilled=%lld (ratio %.2f), mu_mem=%.3f mu_disk=%.3f, "
         "prefetch_hit_rate=%.2f",
-        static_cast<long long>(chunks_spilled), spill_compression_ratio,
-        memory_mu, disk_mu, prefetch_hit_rate);
+        static_cast<long long>(storage.chunks_spilled),
+        storage.SpillCompressionRatio(), storage.MemoryMu(),
+        storage.DiskMu(), storage.PrefetchHitRate());
   }
-  if (ingest_offered > 0) {
+  if (ingest.offered > 0) {
     out += StrFormat(
         ", ingest offered=%lld shed=%lld (oldest=%lld newest=%lld "
         "timeout=%lld) degraded_admits=%lld peak_queue=%lld, "
         "proactive_deferred=%lld, publish_skipped=%lld "
         "max_staleness=%lld chunks",
-        static_cast<long long>(ingest_offered),
-        static_cast<long long>(ingest_shed),
-        static_cast<long long>(ingest_shed_oldest),
-        static_cast<long long>(ingest_shed_newest),
-        static_cast<long long>(ingest_shed_timeout),
-        static_cast<long long>(ingest_degraded_admits),
-        static_cast<long long>(ingest_peak_queue_depth),
-        static_cast<long long>(proactive_deferred),
+        static_cast<long long>(ingest.offered),
+        static_cast<long long>(ingest.shed),
+        static_cast<long long>(ingest.shed_oldest),
+        static_cast<long long>(ingest.shed_newest),
+        static_cast<long long>(ingest.shed_timeout),
+        static_cast<long long>(ingest.degraded_admits),
+        static_cast<long long>(ingest.peak_queue_depth),
+        static_cast<long long>(
+            metrics.CounterValueOr("proactive.iterations_deferred", 0)),
         static_cast<long long>(publish_skipped_overload),
         static_cast<long long>(max_snapshot_staleness_chunks));
   }
+  const int64_t serving_shed = metrics.CounterValueOr("serving.shed", 0);
   if (serving_shed > 0) {
     out += StrFormat(", serving_shed=%lld",
                      static_cast<long long>(serving_shed));

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/admission.h"
 #include "src/core/cost_model.h"
 #include "src/obs/metrics.h"
 #include "src/storage/chunk_store.h"
@@ -33,85 +34,39 @@ struct DeploymentReport {
 
   double final_error = 0.0;
   double average_error = 0.0;  ///< mean of the per-chunk cumulative metric
-  double total_seconds = 0.0;
   int64_t total_work = 0;
+  int64_t chunks_processed = 0;
+  /// Degradation events of this run (chunks processed without storage,
+  /// left unmaterialized, or dropped from a proactive sample, and served
+  /// evaluations that fell back to the in-loop path): the sum of the
+  /// `deployment.degraded`, `proactive.chunks_skipped` and
+  /// `proactive.iterations_degraded` counters of `metrics`.  Zero in a
+  /// healthy run.
+  int64_t degraded_events = 0;
 
+  /// Per-phase seconds and work units; `cost.TotalSeconds()` is the run's
+  /// wall-clock cost.
   CostModel cost;
+  /// Chunk-store counters of this run: μ (`EmpiricalMu()`, split by tier
+  /// in `MemoryMu()` / `DiskMu()`), spills, disk loads, prefetch hits.
   ChunkStore::Counters storage;
   /// Per-run delta of the global metrics registry (counters and histogram
-  /// buckets recorded during this Run; gauges hold end-of-run values).
-  /// Export with obs::ToJson / obs::ToPrometheusText.
+  /// buckets recorded during this Run; gauges hold end-of-run values):
+  /// proactive iterations, retrainings, drift events, faults, retries and
+  /// the serving tier's requests all live here.  Export with obs::ToJson /
+  /// obs::ToPrometheusText.
   obs::MetricsSnapshot metrics;
-  double empirical_mu = 0.0;
-  int64_t proactive_iterations = 0;
-  double average_proactive_seconds = 0.0;
-  int64_t retrainings = 0;
-  int64_t drift_events = 0;
-  int64_t chunks_processed = 0;
-  int64_t initial_training_epochs = 0;
-
-  /// Robustness accounting for this run (derived from the metrics delta):
-  /// fired fault-injection sites, transient retries, operations whose
-  /// retries were exhausted, and degradation events (chunks processed
-  /// without storage, left unmaterialized, or dropped from a proactive
-  /// sample).  All zero in a healthy, uninstrumented run.
-  int64_t faults_injected = 0;
-  int64_t retry_attempts = 0;
-  int64_t retries_exhausted = 0;
-  int64_t degraded_events = 0;
-  int64_t proactive_chunks_skipped = 0;
-
-  /// Serving-tier accounting for this run (all zero when no serving
-  /// attachment): requests answered / errored by the prediction front-end,
-  /// snapshot epochs published, reader-observed epoch regressions (0
-  /// unless the swap protocol is broken), and serve-eval requests that
-  /// fell back to the in-loop evaluate path (counted in degraded_events).
-  int64_t serving_requests = 0;
-  int64_t serving_errors = 0;
-  int64_t serving_stale_reads = 0;
-  int64_t snapshot_publishes = 0;
-  int64_t serving_eval_fallbacks = 0;
-  /// Prediction requests rejected by the serving front-end's bounded queue
-  /// (admission timeout).  The serving-side twin of `ingest_shed`.
-  int64_t serving_shed = 0;
-
-  /// Overload-resilience accounting (all zero in a plain Run — only
-  /// RunShaped attaches an AdmissionController).  The identities
-  /// `ingest_offered == ingest_admitted + ingest_shed_newest +
-  /// ingest_shed_timeout` and `chunks_processed == ingest_admitted -
-  /// ingest_shed_oldest` hold exactly; shed counts depend only on arrival
-  /// times and admission options, never on injected faults or threads.
-  int64_t ingest_offered = 0;
-  int64_t ingest_admitted = 0;
-  int64_t ingest_degraded_admits = 0;
-  int64_t ingest_shed = 0;
-  int64_t ingest_shed_oldest = 0;
-  int64_t ingest_shed_newest = 0;
-  int64_t ingest_shed_timeout = 0;
-  int64_t ingest_pressure_changes = 0;
-  int64_t ingest_peak_queue_depth = 0;
-  /// Proactive iterations deferred because the ingest load state was not
-  /// normal when they came due.
-  int64_t proactive_deferred = 0;
+  /// Admission counts of a RunShaped replay (all zero in a plain Run).  The
+  /// identities `offered == admitted + shed_newest + shed_timeout` and
+  /// `chunks_processed == admitted - shed_oldest` hold exactly; shed counts
+  /// depend only on arrival times and admission options, never on injected
+  /// faults or threads.
+  AdmissionController::Counters ingest;
   /// Per-chunk snapshot publishes skipped by the overload gate, and the
   /// worst served-model staleness that gating caused (in chunks; bounded by
   /// Options::publish_staleness_bound_chunks).
   int64_t publish_skipped_overload = 0;
   int64_t max_snapshot_staleness_chunks = 0;
-
-  /// Two-tier storage accounting (all zero without a disk tier): μ split by
-  /// the tier the sampled chunk's raw bytes occupied, the prefetcher's
-  /// share of disk loads, and the spill codec's compressed-to-raw ratio.
-  /// The raw counts live in `storage`.
-  double memory_mu = 0.0;
-  double disk_mu = 0.0;
-  double prefetch_hit_rate = 0.0;
-  double spill_compression_ratio = 0.0;
-  int64_t chunks_spilled = 0;
-  int64_t disk_loads = 0;
-  int64_t prefetch_hits = 0;
-  int64_t spill_failures = 0;
-  int64_t spill_corrupt_detected = 0;
 
   /// Serializes the curve as CSV with a header row.
   std::string CurveToCsv() const;

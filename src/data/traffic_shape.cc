@@ -8,20 +8,6 @@
 
 namespace cdpipe {
 
-const char* TrafficShapeName(TrafficShape shape) {
-  switch (shape) {
-    case TrafficShape::kUniform:
-      return "uniform";
-    case TrafficShape::kFlashCrowd:
-      return "flash_crowd";
-    case TrafficShape::kSustainedOverload:
-      return "sustained_overload";
-    case TrafficShape::kDiurnal:
-      return "diurnal";
-  }
-  return "unknown";
-}
-
 std::vector<int64_t> ShapedArrivalTimes(const TrafficShapeConfig& config,
                                         size_t n) {
   CDPIPE_CHECK_GT(config.base_period_seconds, 0.0);

@@ -33,8 +33,6 @@ enum class TrafficShape : uint8_t {
   kDiurnal,
 };
 
-const char* TrafficShapeName(TrafficShape shape);
-
 struct TrafficShapeConfig {
   TrafficShape shape = TrafficShape::kUniform;
   /// Nominal inter-arrival gap in event seconds (the 1× rate).

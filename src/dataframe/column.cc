@@ -180,19 +180,6 @@ void Column::MarkNull(size_t i) {
   null_words_[i >> 6] |= uint64_t{1} << (i & 63u);
 }
 
-void Column::ClearNull(size_t i) {
-  CDPIPE_CHECK(i < size_);
-  if (null_words_.empty()) return;
-  null_words_[i >> 6] &= ~(uint64_t{1} << (i & 63u));
-}
-
-void Column::DropBitmapIfAllValid() {
-  for (uint64_t word : null_words_) {
-    if (word != 0) return;
-  }
-  null_words_.clear();
-}
-
 size_t Column::ByteSize() const {
   size_t total = doubles_.size() * sizeof(double) +
                  ints_.size() * sizeof(int64_t) + arena_.size() +

@@ -71,10 +71,8 @@ class Column {
   // --- Direct typed access for kernels. ---
   /// Contiguous payload of a kDouble column (placeholders at null slots).
   const std::vector<double>& doubles() const { return doubles_; }
-  std::vector<double>& mutable_doubles() { return doubles_; }
   /// Contiguous payload of a kInt64/kTimestamp column.
   const std::vector<int64_t>& ints() const { return ints_; }
-  std::vector<int64_t>& mutable_ints() { return ints_; }
   /// String cell as a view (into the arena or the borrowed storage).
   std::string_view StringAt(size_t i) const {
     if (borrowed_) return views_[i];
@@ -91,11 +89,6 @@ class Column {
 
   /// Marks row `i` null in place (placeholder value is left as is).
   void MarkNull(size_t i);
-  /// Clears row i's null bit (after a kernel wrote a real value).
-  void ClearNull(size_t i);
-  /// Frees the bitmap when every bit is clear, restoring the all-valid fast
-  /// path for downstream kernels (e.g. after the imputer filled every null).
-  void DropBitmapIfAllValid();
 
   /// Owned heap footprint (typed storage + arena + offsets + bitmap).
   /// Borrowed views count the view table only — the bytes belong to the raw

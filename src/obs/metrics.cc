@@ -92,6 +92,14 @@ int64_t MetricsSnapshot::CounterValueOr(const std::string& name,
   return fallback;
 }
 
+const HistogramSnapshot* MetricsSnapshot::FindHistogram(
+    const std::string& name) const {
+  for (const auto& h : histograms) {
+    if (h.name == name) return &h.hist;
+  }
+  return nullptr;
+}
+
 MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& before,
                                        const MetricsSnapshot& after) {
   MetricsSnapshot out;

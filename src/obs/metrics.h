@@ -77,7 +77,6 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void Observe(double value);
-  uint64_t TotalCount() const { return count_.load(std::memory_order_relaxed); }
   HistogramSnapshot Snapshot() const;
   void Reset();
 
@@ -124,6 +123,8 @@ struct MetricsSnapshot {
   /// Value of the named counter, or `fallback` when it was never recorded
   /// (report consumers read fault/retry counters this way).
   int64_t CounterValueOr(const std::string& name, int64_t fallback) const;
+  /// The named histogram, or nullptr when it was never recorded.
+  const HistogramSnapshot* FindHistogram(const std::string& name) const;
 
   /// Per-interval view between two snapshots of the same registry: counters
   /// and histogram counts/sums subtract (clamped at zero), gauges keep the

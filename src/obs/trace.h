@@ -60,7 +60,6 @@ class Tracer {
   Status WriteChromeTrace(const std::string& path) const;
 
   /// Where the automatic exit dump goes ("" = no dump).
-  void SetDumpPath(std::string path);
   std::string dump_path() const;
 
   /// Events currently held across all thread buffers (post-overwrite).

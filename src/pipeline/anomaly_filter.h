@@ -42,9 +42,6 @@ class AnomalyFilter : public PipelineComponent {
                                                     double min, double max);
 
   std::string name() const override { return "anomaly_filter(" + rule_name_ + ")"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;

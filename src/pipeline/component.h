@@ -16,18 +16,6 @@ class PlanBuilder;
 struct UpdateBlock;
 }  // namespace fusion
 
-/// Component classes from Table 1 of the paper.  The class determines the
-/// unit of work and the size complexity of the output (all our components
-/// are O(p) in the input size; one-hot encoding stays O(p) because it emits
-/// sparse vectors, see §3.2.1).
-enum class ComponentKind {
-  kDataTransformation,  ///< per-row filtering or mapping
-  kFeatureSelection,    ///< per-column selection
-  kFeatureExtraction,   ///< per-column generation of new columns
-};
-
-const char* ComponentKindName(ComponentKind kind);
-
 /// A stage of a deployed machine learning pipeline.
 ///
 /// Per §4.3 of the paper, every component implements two methods, both
@@ -54,7 +42,6 @@ class PipelineComponent {
   virtual ~PipelineComponent() = default;
 
   virtual std::string name() const = 0;
-  virtual ComponentKind kind() const = 0;
 
   /// True when the component maintains statistics (is stateful).
   virtual bool is_stateful() const { return false; }

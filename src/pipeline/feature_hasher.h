@@ -29,9 +29,6 @@ class FeatureHasher : public PipelineComponent {
   explicit FeatureHasher(Options options);
 
   std::string name() const override { return "feature_hasher"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureExtraction;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;

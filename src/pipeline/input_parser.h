@@ -44,9 +44,6 @@ class InputParser : public PipelineComponent {
   explicit InputParser(Options options);
 
   std::string name() const override { return "input_parser"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -31,9 +31,6 @@ class MissingValueImputer : public PipelineComponent {
   explicit MissingValueImputer(Options options);
 
   std::string name() const override { return "missing_value_imputer"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Update(const fusion::UpdateBlock& block) override;

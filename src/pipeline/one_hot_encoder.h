@@ -42,9 +42,6 @@ class OneHotEncoder : public PipelineComponent {
   explicit OneHotEncoder(Options options);
 
   std::string name() const override { return "one_hot_encoder"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureExtraction;
-  }
   bool is_stateful() const override { return true; }
 
   Status Update(const fusion::UpdateBlock& block) override;

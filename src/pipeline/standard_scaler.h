@@ -42,9 +42,6 @@ class StandardScaler : public PipelineComponent {
   explicit StandardScaler(Options options);
 
   std::string name() const override { return "standard_scaler"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Update(const fusion::UpdateBlock& block) override;

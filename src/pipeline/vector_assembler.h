@@ -25,9 +25,6 @@ class VectorAssembler : public PipelineComponent {
   explicit VectorAssembler(Options options);
 
   std::string name() const override { return "vector_assembler"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kFeatureSelection;
-  }
 
   Status Fuse(fusion::PlanBuilder* plan) const override;
   std::unique_ptr<PipelineComponent> Clone() const override;

@@ -33,9 +33,6 @@ class ZScoreAnomalyDetector : public PipelineComponent {
   explicit ZScoreAnomalyDetector(Options options);
 
   std::string name() const override { return "zscore_anomaly_detector"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
 
   Status Update(const fusion::UpdateBlock& block) override;

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/common/string_util.h"
 #include "src/core/continuous_deployment.h"
 #include "src/core/online_deployment.h"
 #include "src/scheduler/scheduler.h"
@@ -76,6 +78,11 @@ BatchTrainer::Options InitialTrainOptions() {
   return options;
 }
 
+/// A strategy count of one run, read from the run's metrics delta.
+int64_t Count(const DeploymentReport& report, const std::string& counter) {
+  return report.metrics.CounterValueOr(counter, 0);
+}
+
 DeploymentReport RunStrategy(Deployment* deployment,
                              const std::vector<RawChunk>& bootstrap,
                              const std::vector<RawChunk>& stream) {
@@ -107,8 +114,8 @@ TEST_F(DeploymentIntegrationTest, OnlineDeploymentRuns) {
   EXPECT_EQ(report.strategy, "online");
   EXPECT_EQ(report.chunks_processed, static_cast<int64_t>(kStreamChunks));
   EXPECT_EQ(report.curve.size(), kStreamChunks);
-  EXPECT_EQ(report.proactive_iterations, 0);
-  EXPECT_EQ(report.retrainings, 0);
+  EXPECT_EQ(Count(report, "proactive.iterations"), 0);
+  EXPECT_EQ(Count(report, "deployment.retrainings"), 0);
   // Online visits each arriving point exactly once for training.
   EXPECT_EQ(report.cost.WorkIn(CostPhase::kOnlineTraining),
             static_cast<int64_t>(kStreamChunks * 30));
@@ -127,12 +134,15 @@ TEST_F(DeploymentIntegrationTest, ContinuousDeploymentRunsProactively) {
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
   EXPECT_EQ(report.strategy, "continuous");
-  EXPECT_EQ(report.proactive_iterations,
+  EXPECT_EQ(Count(report, "proactive.iterations"),
             static_cast<int64_t>(kStreamChunks / 5));
   EXPECT_GT(report.cost.WorkIn(CostPhase::kProactiveTraining), 0);
-  EXPECT_GT(report.average_proactive_seconds, 0.0);
+  const obs::HistogramSnapshot* iteration_seconds =
+      report.metrics.FindHistogram("proactive.iteration_seconds");
+  ASSERT_NE(iteration_seconds, nullptr);
+  EXPECT_GT(iteration_seconds->Mean(), 0.0);
   // Everything stays materialized with unbounded storage: μ = 1.
-  EXPECT_DOUBLE_EQ(report.empirical_mu, 1.0);
+  EXPECT_DOUBLE_EQ(report.storage.EmpiricalMu(), 1.0);
   EXPECT_LT(report.final_error, 0.4);
 }
 
@@ -151,8 +161,8 @@ TEST_F(DeploymentIntegrationTest, ContinuousWithBoundedStorageRematerializes) {
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
   EXPECT_GT(report.storage.sample_misses, 0);
   EXPECT_GT(report.cost.WorkIn(CostPhase::kMaterialization), 0);
-  EXPECT_LT(report.empirical_mu, 1.0);
-  EXPECT_GT(report.empirical_mu, 0.0);
+  EXPECT_LT(report.storage.EmpiricalMu(), 1.0);
+  EXPECT_GT(report.storage.EmpiricalMu(), 0.0);
 }
 
 TEST_F(DeploymentIntegrationTest, PeriodicalDeploymentRetrains) {
@@ -169,7 +179,8 @@ TEST_F(DeploymentIntegrationTest, PeriodicalDeploymentRetrains) {
                                   std::move(p.optimizer),
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
-  EXPECT_EQ(report.retrainings, static_cast<int64_t>(kStreamChunks / 20));
+  EXPECT_EQ(Count(report, "deployment.retrainings"),
+            static_cast<int64_t>(kStreamChunks / 20));
   EXPECT_GT(report.cost.WorkIn(CostPhase::kRetraining), 0);
   EXPECT_GT(report.cost.WorkIn(CostPhase::kMaterialization), 0);
   EXPECT_LT(report.final_error, 0.4);
@@ -258,7 +269,7 @@ TEST_F(DeploymentIntegrationTest, BoundedRawStorageKeepsRunning) {
   EXPECT_EQ(report.chunks_processed, static_cast<int64_t>(kStreamChunks));
   EXPECT_EQ(std::as_const(deployment).data_manager().store().num_raw(), 15u);
   EXPECT_GT(report.storage.raw_dropped, 0);
-  EXPECT_GT(report.proactive_iterations, 0);
+  EXPECT_GT(Count(report, "proactive.iterations"), 0);
 }
 
 TEST_F(DeploymentIntegrationTest, DynamicSchedulerDrivesProactiveTraining) {
@@ -279,8 +290,8 @@ TEST_F(DeploymentIntegrationTest, DynamicSchedulerDrivesProactiveTraining) {
                                   std::move(p.optimizer),
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
-  EXPECT_GT(report.proactive_iterations, 0);
-  EXPECT_LE(report.proactive_iterations,
+  EXPECT_GT(Count(report, "proactive.iterations"), 0);
+  EXPECT_LE(Count(report, "proactive.iterations"),
             static_cast<int64_t>(kStreamChunks));
 }
 
@@ -301,7 +312,7 @@ TEST_F(DeploymentIntegrationTest, VeloxStyleErrorThresholdTriggersRetraining) {
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
   // 60 chunks, cool-down 20: exactly 3 threshold-triggered retrainings.
-  EXPECT_EQ(report.retrainings, 3);
+  EXPECT_EQ(Count(report, "deployment.retrainings"), 3);
 }
 
 TEST_F(DeploymentIntegrationTest, VeloxTriggerStaysQuietWhenErrorIsLow) {
@@ -317,7 +328,7 @@ TEST_F(DeploymentIntegrationTest, VeloxTriggerStaysQuietWhenErrorIsLow) {
                                   std::move(p.optimizer),
                                   std::move(p.metric));
   DeploymentReport report = RunStrategy(&deployment, bootstrap_, stream_);
-  EXPECT_EQ(report.retrainings, 0);
+  EXPECT_EQ(Count(report, "deployment.retrainings"), 0);
 }
 
 TEST_F(DeploymentIntegrationTest, ParallelEngineMatchesSingleThread) {
@@ -380,6 +391,57 @@ TEST_F(DeploymentIntegrationTest, DeterministicAcrossRuns) {
     return RunStrategy(&deployment, bootstrap_, stream_).final_error;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+TEST_F(DeploymentIntegrationTest, SecondRunReportsOnlyItsOwnCounts) {
+  // A report describes one Run: replaying a second stream on the same
+  // deployment must report that replay's proactive iterations and
+  // retrainings, not the strategy's lifetime totals.
+  UrlStreamGenerator generator(StreamConfig());
+  generator.Generate(kBootstrapChunks + kStreamChunks);  // fixture's chunks
+  const std::vector<RawChunk> second_stream = generator.Generate(kStreamChunks);
+
+  auto check_second_run = [&](Deployment* deployment, const char* counter,
+                              const char* summary_key, int64_t per_run) {
+    DeploymentReport first = RunStrategy(deployment, bootstrap_, stream_);
+    auto second = deployment->Run(second_stream);
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    for (const DeploymentReport* report : {&first, &*second}) {
+      EXPECT_EQ(report->chunks_processed, static_cast<int64_t>(kStreamChunks));
+      EXPECT_EQ(Count(*report, counter), per_run);
+      EXPECT_NE(report->Summary().find(StrFormat(
+                    "%s=%lld", summary_key, static_cast<long long>(per_run))),
+                std::string::npos)
+          << report->Summary();
+      EXPECT_EQ(report->degraded_events,
+                Count(*report, "deployment.degraded") +
+                    Count(*report, "proactive.chunks_skipped") +
+                    Count(*report, "proactive.iterations_degraded"));
+    }
+  };
+
+  Pieces pc = MakePieces();
+  ContinuousDeployment::ContinuousOptions continuous_options;
+  continuous_options.proactive_every_chunks = 5;
+  continuous_options.sample_chunks = 8;
+  ContinuousDeployment continuous(
+      BaseOptions(), std::move(continuous_options), std::move(pc.pipeline),
+      std::move(pc.model), std::move(pc.optimizer), std::move(pc.metric));
+  check_second_run(&continuous, "proactive.iterations", "proactive",
+                   static_cast<int64_t>(kStreamChunks / 5));
+  // The trainer's own stats stay lifetime totals.
+  EXPECT_EQ(continuous.proactive_stats().iterations,
+            static_cast<int64_t>(2 * kStreamChunks / 5));
+
+  Pieces pp = MakePieces();
+  PeriodicalDeployment::PeriodicalOptions periodical_options;
+  periodical_options.retrain_every_chunks = 20;
+  periodical_options.retrain = InitialTrainOptions();
+  PeriodicalDeployment periodical(
+      BaseOptions(), std::move(periodical_options), std::move(pp.pipeline),
+      std::move(pp.model), std::move(pp.optimizer), std::move(pp.metric));
+  check_second_run(&periodical, "deployment.retrainings", "retrainings",
+                   static_cast<int64_t>(kStreamChunks / 20));
 }
 
 }  // namespace

@@ -84,7 +84,6 @@ TEST(AnomalyFilterTest, CloneCarriesPredicateAndCounter) {
 TEST(AnomalyFilterTest, StatelessContract) {
   auto filter = AnomalyFilter::KeepInRange("v", 0.0, 1.0);
   EXPECT_FALSE(filter->is_stateful());
-  EXPECT_EQ(filter->kind(), ComponentKind::kDataTransformation);
 }
 
 }  // namespace

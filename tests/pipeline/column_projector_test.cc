@@ -50,7 +50,6 @@ TEST(ColumnProjectorTest, PreservesRowCount) {
 TEST(ColumnProjectorTest, ContractAndClone) {
   ColumnProjector projector({"a"});
   EXPECT_FALSE(projector.is_stateful());
-  EXPECT_EQ(projector.kind(), ComponentKind::kFeatureSelection);
   auto clone = projector.Clone();
   auto result = testing::RunTransform(*clone, MakeTable());
   ASSERT_TRUE(result.ok());

@@ -301,13 +301,12 @@ TEST(FusedPlanTest, DeclinesChainWithoutVectorizingSink) {
   EXPECT_EQ(compiled.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// The FusionParity tests pin the blocks' accounting to what a
-// row-at-a-time interpretation of the same chain gives: one scan per
-// component per row reaching it (plus one update scan per stateful
-// component online), and drop counters equal to the rows a per-row
-// evaluation of the rules rejects.
+// The FusionParity tests pin the blocks' accounting to a row-at-a-time
+// reference over the same chain: one scan per component per row reaching
+// it (plus one update scan per stateful component online), and drop
+// counters equal to the rows a per-row evaluation of the rules rejects.
 
-TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
+TEST(FusionParityTest, RowsScannedMatchesRowReference) {
   ExecutionEngine engine(4);
   auto pipeline = SmallUrlPipeline();
   std::vector<std::string> records = {"+1 3:1.0 17:2.0", "-1 5:nan 7:1.0",
@@ -342,7 +341,7 @@ TEST(FusionParityTest, RowsScannedMatchesInterpreted) {
   EXPECT_EQ(recompute_scans, online_scans);
 }
 
-TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
+TEST(FusionParityTest, DroppedCountersMatchRowReference) {
   // Reference: parse and extract the chunk, then evaluate the taxi
   // anomaly rules row by row on the extracted table.  Both entry points
   // must drop exactly those rows and count them on the deployed filter.
@@ -408,7 +407,7 @@ TEST(FusionParityTest, DroppedCountersMatchInterpreted) {
   EXPECT_EQ(filter_drops(*frozen) - before_recompute, expected_drops);
 }
 
-TEST(FusionParityTest, ZScoreDropsAndElisionMatchInterpreted) {
+TEST(FusionParityTest, ZScoreDropsAndElisionMatchRowReference) {
   auto schema = std::move(Schema::Make({Field{"x", ValueType::kDouble},
                                         Field{"label", ValueType::kDouble}}))
                     .ValueOrDie();

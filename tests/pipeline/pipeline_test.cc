@@ -35,9 +35,6 @@ TEST(PipelineTest, RejectsNullComponent) {
 class NonIncrementalComponent : public PipelineComponent {
  public:
   std::string name() const override { return "exact_percentile"; }
-  ComponentKind kind() const override {
-    return ComponentKind::kDataTransformation;
-  }
   bool is_stateful() const override { return true; }
   bool supports_online_statistics() const override { return false; }
   Status Fuse(fusion::PlanBuilder* plan) const override {

@@ -27,12 +27,13 @@ void ExpectIdenticalReports(const DeploymentReport& a,
   EXPECT_EQ(a.final_error, b.final_error);
   EXPECT_EQ(a.average_error, b.average_error);
   EXPECT_EQ(a.chunks_processed, b.chunks_processed);
-  EXPECT_EQ(a.proactive_iterations, b.proactive_iterations);
+  EXPECT_EQ(a.metrics.CounterValueOr("proactive.iterations", 0),
+            b.metrics.CounterValueOr("proactive.iterations", 0));
   EXPECT_EQ(a.storage.raw_inserted, b.storage.raw_inserted);
   EXPECT_EQ(a.storage.memory_hits, b.storage.memory_hits);
   EXPECT_EQ(a.storage.disk_hits, b.storage.disk_hits);
   EXPECT_EQ(a.storage.sample_misses, b.storage.sample_misses);
-  EXPECT_EQ(a.empirical_mu, b.empirical_mu);
+  EXPECT_EQ(a.storage.EmpiricalMu(), b.storage.EmpiricalMu());
   ASSERT_EQ(a.curve.size(), b.curve.size());
   for (size_t i = 0; i < a.curve.size(); ++i) {
     EXPECT_EQ(a.curve[i].observations, b.curve[i].observations);
@@ -91,8 +92,8 @@ TEST(DeterminismTest, FaultFreeScriptedRunMatchesAcrossThreadCounts) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.report.faults_injected, 0);
-  EXPECT_EQ(b.report.faults_injected, 0);
+  EXPECT_EQ(a.Count("fault.injected"), 0);
+  EXPECT_EQ(b.Count("fault.injected"), 0);
 }
 
 }  // namespace

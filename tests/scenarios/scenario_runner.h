@@ -65,6 +65,10 @@ struct ScenarioResult {
   std::string fingerprint;
 
   bool ok() const { return status.ok(); }
+  /// The run's value of a registry counter (0 when never recorded).
+  int64_t Count(const std::string& counter) const {
+    return report.metrics.CounterValueOr(counter, 0);
+  }
 };
 
 /// Builds the canonical URL-stream continuous deployment, arms the
